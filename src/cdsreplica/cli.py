@@ -323,7 +323,7 @@ def cmd_replicate(
         payload["mc_paths"] = mc_paths
         payload["mc_seed"] = seed
     code = 0
-    if clause_enabled and report.max_abs_residual >= REPLICATION_TOL:
+    if clause_enabled and not report.max_abs_residual < REPLICATION_TOL:
         code = 4
     return payload, code
 

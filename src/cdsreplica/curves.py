@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
-from .errors import InvalidInterval, QuoteUnattainable, TimeBeforeAnchor
+from .errors import DegenerateAnnuity, InvalidInterval, QuoteUnattainable, TimeBeforeAnchor
 from .schedule import Schedule
 
 _CALIBRATION_TOL = 1e-12
@@ -39,16 +40,28 @@ def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[fl
             raise ValueError("rates must be finite")
 
 
-def _step_integral(t0: float, node_times: tuple[float, ...], rates: tuple[float, ...], t: float) -> float:
-    """Integral of the piecewise-constant rate over [t0, t], flat beyond the last node."""
+def _exp_integrals(
+    t0: float, node_times: tuple[float, ...], rates: tuple[float, ...], times: Sequence[float]
+) -> list[float]:
+    """exp(-integral of the piecewise-constant rate over [t0, t]) at each ascending t.
+
+    One pass over the nodes: the integral up to the current segment's start
+    carries over from one time to the next; the last rate extrapolates flat.
+    """
+    if times[0] < t0:
+        raise TimeBeforeAnchor(f"time {times[0]} precedes curve anchor {t0}")
+    values = []
     total = 0.0
     prev = t0
-    for node, rate in zip(node_times, rates):
-        if t <= node:
-            return total + rate * (t - prev)
-        total += rate * (node - prev)
-        prev = node
-    return total + rates[-1] * (t - prev)
+    i = 0
+    n = len(node_times)
+    for t in times:
+        while i < n and t > node_times[i]:
+            total += rates[i] * (node_times[i] - prev)
+            prev = node_times[i]
+            i += 1
+        values.append(math.exp(-(total + rates[min(i, n - 1)] * (t - prev))))
+    return values
 
 
 @dataclass(frozen=True)
@@ -69,18 +82,14 @@ class DiscountCurve:
         return cls(node_times=(t0 + 1.0,), fwd_rates=(rate,), t0=t0)
 
     def discount_factor(self, t: float) -> float:
-        if t < self.t0:
-            raise TimeBeforeAnchor(f"time {t} precedes curve anchor {self.t0}")
-        return math.exp(-_step_integral(self.t0, self.node_times, self.fwd_rates, t))
+        return _exp_integrals(self.t0, self.node_times, self.fwd_rates, (t,))[0]
 
     def forward_rate(self, t_start: float, t_end: float) -> float:
         """Simple-compounded forward rate over (t_start, t_end]: the model's floating fixing."""
-        if t_start < self.t0:
-            raise TimeBeforeAnchor(f"time {t_start} precedes curve anchor {self.t0}")
         if t_end <= t_start:
             raise InvalidInterval(f"need t_start < t_end, got ({t_start}, {t_end})")
-        ratio = self.discount_factor(t_start) / self.discount_factor(t_end)
-        return (ratio - 1.0) / (t_end - t_start)
+        p_start, p_end = _exp_integrals(self.t0, self.node_times, self.fwd_rates, (t_start, t_end))
+        return (p_start / p_end - 1.0) / (t_end - t_start)
 
 
 @dataclass(frozen=True)
@@ -103,9 +112,42 @@ class SurvivalCurve:
         return cls(node_times=(t0 + 1.0,), hazards=(hazard,), t0=t0)
 
     def survival_prob(self, t: float) -> float:
-        if t < self.t0:
-            raise TimeBeforeAnchor(f"time {t} precedes curve anchor {self.t0}")
-        return math.exp(-_step_integral(self.t0, self.node_times, self.hazards, t))
+        return _exp_integrals(self.t0, self.node_times, self.hazards, (t,))[0]
+
+
+class _Grid(NamedTuple):
+    """One market on one schedule; every pricer is a short sum over these lists.
+
+    p and q hold P and Q at [t0, t_1, ..., t_N]; theta and eps hold the accrual
+    and the floating fixing of periods 1..N, with eps_k * theta_k = P_{k-1} / P_k - 1.
+    """
+
+    theta: tuple[float, ...]
+    p: list[float]
+    q: list[float]
+    eps: list[float]
+
+    def window(self, start: int, stop: int) -> "_Grid":
+        """The grid of periods start+1..stop, anchored at t_start."""
+        return _Grid(
+            self.theta[start:stop], self.p[start : stop + 1], self.q[start : stop + 1],
+            self.eps[start:stop],
+        )
+
+
+def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
+    """theta, P, Q and eps of the market, one pass per curve; no survival curve means Q = 1."""
+    times = [schedule.t0, *schedule.dates]
+    p = _exp_integrals(discount.t0, discount.node_times, discount.fwd_rates, times)
+    if not all(df > 0.0 for df in p):
+        raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
+    if survival is None:
+        q = [1.0] * len(times)
+    else:
+        q = _exp_integrals(survival.t0, survival.node_times, survival.hazards, times)
+    theta = schedule.accruals
+    eps = [(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], theta)]
+    return _Grid(theta, p, q, eps)
 
 
 @dataclass(frozen=True)
@@ -121,7 +163,7 @@ class DefaultDistribution:
     survival_prob: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bucket_probs", tuple(float(p) for p in self.bucket_probs))
+        object.__setattr__(self, "bucket_probs", tuple([float(p) for p in self.bucket_probs]))
         if any(p < 0.0 for p in self.bucket_probs):
             raise ValueError("bucket probabilities must be non-negative")
         if not 0.0 <= self.survival_prob <= 1.0:
@@ -131,22 +173,22 @@ class DefaultDistribution:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
 
+def _distribution(q: list[float]) -> DefaultDistribution:
+    """p_k = Q(t_{k-1}) - Q(t_k) from Q at [t0, t_1, ..., t_N]."""
+    return DefaultDistribution(
+        bucket_probs=[q0 - q1 for q0, q1 in zip(q, q[1:])], survival_prob=q[-1]
+    )
+
+
 def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDistribution:
     """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k)."""
-    survivals = [curve.survival_prob(schedule.t0)]
-    survivals += [curve.survival_prob(t) for t in schedule.dates]
-    probs = tuple(survivals[k - 1] - survivals[k] for k in range(1, len(survivals)))
-    return DefaultDistribution(bucket_probs=probs, survival_prob=survivals[-1])
+    times = [schedule.t0, *schedule.dates]
+    return _distribution(_exp_integrals(curve.t0, curve.node_times, curve.hazards, times))
 
 
 def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float, ...]:
     """Floating fixing of each period: set at t_{k-1}, paid at t_k."""
-    prev = schedule.t0
-    fixings = []
-    for t in schedule.dates:
-        fixings.append(discount.forward_rate(prev, t))
-        prev = t
-    return tuple(fixings)
+    return tuple(_grid(discount, None, schedule).eps)
 
 
 def calibrate_flat_hazard(
@@ -160,8 +202,9 @@ def calibrate_flat_hazard(
     Bisection on the bracket [0, 10]; the par spread is strictly increasing
     in the hazard, so the first bracket check is also the attainability test.
     Stops when the spread residual is below 1e-12 (capped at 200 iterations).
+    The discount factors are computed once; each step recomputes only Q.
     """
-    from .pricers import par_cds_spread
+    from .pricers import _par_cds
 
     if cds_quote < 0.0:
         raise ValueError("cds quote must be non-negative")
@@ -170,9 +213,13 @@ def calibrate_flat_hazard(
     if cds_quote == 0.0:
         return SurvivalCurve.flat(0.0, t0=discount.t0)
 
+    grid = _grid(discount, None, schedule)
+    times = [schedule.t0, *schedule.dates]
+
     def residual(hazard: float) -> float:
         curve = SurvivalCurve.flat(hazard, t0=discount.t0)
-        return par_cds_spread(discount, curve, schedule, recovery).spread - cds_quote
+        q = _exp_integrals(curve.t0, curve.node_times, curve.hazards, times)
+        return _par_cds(grid._replace(q=q), recovery).spread - cds_quote
 
     lo, hi = _HAZARD_BRACKET
     if residual(hi) < 0.0:

@@ -5,15 +5,19 @@ class PricingError(ValueError):
     """Base class for all library-specific errors."""
 
 
-class InvalidFrequency(PricingError):
+class ConfigError(PricingError):
+    """Market configuration failed validation."""
+
+
+class InvalidFrequency(ConfigError):
     """Payment frequency outside the supported set {1, 2, 4, 12}."""
 
 
-class NonIntegralPeriods(PricingError):
+class NonIntegralPeriods(ConfigError):
     """Maturity minus anchor is not an integer number of periods."""
 
 
-class MaturityNotOnGrid(PricingError):
+class MaturityNotOnGrid(ConfigError):
     """Requested maturity does not coincide with any payment date."""
 
 
@@ -39,7 +43,3 @@ class CrossedMarket(PricingError):
 
 class InconsistentSpecs(PricingError):
     """Repo, bond, and schedule parameters disagree."""
-
-
-class ConfigError(PricingError):
-    """Market configuration failed validation."""

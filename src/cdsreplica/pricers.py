@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .curves import DiscountCurve, SurvivalCurve, default_distribution, forward_fixings
+from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid
 from .errors import CrossedMarket, DegenerateAnnuity
-from .schedule import Schedule, truncate_schedule
+from .schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,13 @@ class RepoSpec:
     maturity: float | None = None
     forward_price: float | None = None
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.spread):
+            raise ValueError("repo spread must be finite")
+        for name, value in (("maturity", self.maturity), ("forward price", self.forward_price)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"repo {name} must be finite")
+
 
 @dataclass(frozen=True)
 class SpreadResult:
@@ -84,28 +92,71 @@ class ImpliedRepoSpreads(NamedTuple):
     reverse_repo: float
 
 
-def _discounts(discount: DiscountCurve, schedule: Schedule) -> list[float]:
-    """P(t0, t) at [t0, t_1, ..., t_N]."""
-    return [discount.discount_factor(schedule.t0)] + [
-        discount.discount_factor(t) for t in schedule.dates
-    ]
+def _par(numerator: float, annuity: float) -> SpreadResult:
+    """The one annuity guard: every par spread is numerator / annuity."""
+    if not annuity > 0.0:
+        raise DegenerateAnnuity(f"annuity {annuity} is not positive")
+    return SpreadResult(spread=numerator / annuity, numerator=numerator, annuity=annuity)
 
 
-def _survivals(survival: SurvivalCurve, schedule: Schedule) -> list[float]:
-    """Q(t0, t) at [t0, t_1, ..., t_N]."""
-    return [survival.survival_prob(schedule.t0)] + [
-        survival.survival_prob(t) for t in schedule.dates
-    ]
+def _annuity(g: _Grid) -> float:
+    return fsum([theta * p * q for theta, p, q in zip(g.theta, g.p[1:], g.q[1:])])
+
+
+def _default_leg(g: _Grid) -> float:
+    return fsum([p * (q0 - q1) for p, q0, q1 in zip(g.p, g.q, g.q[1:])])
+
+
+def _note(g: _Grid, rates: Iterable[float], recovery: float) -> float:
+    """Coupons at `rates` and the principal while the issuer survives, recovery on default."""
+    coupons = fsum([r * theta * p * q for r, theta, p, q in zip(rates, g.theta, g.p[1:], g.q[1:])])
+    return coupons + g.p[-1] * g.q[-1] + recovery * _default_leg(g)
+
+
+def _risky_bond(g: _Grid, bond: BondSpec) -> float:
+    return _note(g, repeat(bond.coupon), bond.recovery)
+
+
+def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
+    return _par((1.0 - recovery) * _default_leg(g), _annuity(g))
+
+
+def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:
+    riskless = g._replace(q=[1.0] * len(g.p))
+    return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), _annuity(riskless))
+
+
+def _par_cancelable(g: _Grid, bond: BondSpec, periods: int, forward_price: float) -> SpreadResult:
+    """(X - floater) over the defaultable annuity, both on the first `periods` periods."""
+    g = g.window(0, periods)
+    return _par(forward_price - _note(g, g.eps, bond.recovery), _annuity(g))
+
+
+def _swap_payments(g: _Grid, coupon: float, spread: float) -> list[float]:
+    """Discounted holder-side swap payment of each period: (-c + eps + s) * theta * P."""
+    return [(-coupon + e + spread) * theta * p for e, theta, p in zip(g.eps, g.theta, g.p[1:])]
+
+
+def _mtm_values(g: _Grid, coupon: float, spread: float) -> list[float]:
+    payments = _swap_payments(g, coupon, spread)
+    values = [0.0] * len(payments)
+    tail = 0.0
+    for k in range(len(payments), 0, -1):
+        tail += payments[k - 1]
+        values[k - 1] = tail / g.p[k]
+    return values
+
+
+def _forward_bond(g: _Grid, bond: BondSpec, idx: int) -> float:
+    """Bond value at t_{idx+1} given survival to it: the tail grid, rebased."""
+    if idx == len(g.theta) - 1:
+        return 1.0
+    return _risky_bond(g.window(idx + 1, len(g.theta)), bond) / (g.p[idx + 1] * g.q[idx + 1])
 
 
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Sum of c * theta_k * P(t_k) plus P(t_N)."""
-    dfs = _discounts(discount, schedule)
-    coupons = fsum(
-        coupon * theta * dfs[k]
-        for k, theta in enumerate(schedule.accruals, start=1)
-    )
-    return coupons + dfs[-1]
+    return _note(_grid(discount, None, schedule), repeat(coupon), 0.0)
 
 
 def default_leg_pv(discount: DiscountCurve, survival: SurvivalCurve, schedule: Schedule) -> float:
@@ -114,9 +165,7 @@ def default_leg_pv(discount: DiscountCurve, survival: SurvivalCurve, schedule: S
     The settlement is grossed up by the period accrual (1 + eps * theta), so
     each bucket contributes P(t_{k-1}) * (Q(t_{k-1}) - Q(t_k)).
     """
-    dfs = _discounts(discount, schedule)
-    qs = _survivals(survival, schedule)
-    return fsum(dfs[k - 1] * (qs[k - 1] - qs[k]) for k in range(1, len(dfs)))
+    return _default_leg(_grid(discount, survival, schedule))
 
 
 def price_risky_bond(
@@ -126,13 +175,7 @@ def price_risky_bond(
     bond: BondSpec,
 ) -> float:
     """Coupons and principal while the issuer survives, recovery on default."""
-    dfs = _discounts(discount, schedule)
-    qs = _survivals(survival, schedule)
-    coupons = fsum(
-        bond.coupon * theta * dfs[k] * qs[k]
-        for k, theta in enumerate(schedule.accruals, start=1)
-    )
-    return coupons + dfs[-1] * qs[-1] + bond.recovery * default_leg_pv(discount, survival, schedule)
+    return _risky_bond(_grid(discount, survival, schedule), bond)
 
 
 def price_risky_floater(
@@ -142,29 +185,20 @@ def price_risky_floater(
     recovery: float,
 ) -> float:
     """Floating-rate note of the same issuer: fixings + principal, recovery on default."""
-    dfs = _discounts(discount, schedule)
-    qs = _survivals(survival, schedule)
-    eps = forward_fixings(discount, schedule)
-    coupons = fsum(
-        eps[k - 1] * theta * dfs[k] * qs[k]
-        for k, theta in enumerate(schedule.accruals, start=1)
-    )
-    return coupons + dfs[-1] * qs[-1] + recovery * default_leg_pv(discount, survival, schedule)
+    g = _grid(discount, survival, schedule)
+    return _note(g, g.eps, recovery)
 
 
 def annuity_riskfree(discount: DiscountCurve, schedule: Schedule) -> float:
     """PV of a unit spread paid on every date: sum of theta_k * P(t_k)."""
-    dfs = _discounts(discount, schedule)
-    return fsum(theta * dfs[k] for k, theta in enumerate(schedule.accruals, start=1))
+    return _annuity(_grid(discount, None, schedule))
 
 
 def annuity_defaultable(
     discount: DiscountCurve, survival: SurvivalCurve, schedule: Schedule
 ) -> float:
     """PV of a unit spread paid while the issuer survives: sum of theta_k * P_k * Q_k."""
-    dfs = _discounts(discount, schedule)
-    qs = _survivals(survival, schedule)
-    return fsum(theta * dfs[k] * qs[k] for k, theta in enumerate(schedule.accruals, start=1))
+    return _annuity(_grid(discount, survival, schedule))
 
 
 def par_cds_spread(
@@ -174,11 +208,7 @@ def par_cds_spread(
     recovery: float,
 ) -> SpreadResult:
     """Spread equating the premium leg to the protection leg LGD * default_leg_pv."""
-    annuity = annuity_defaultable(discount, survival, schedule)
-    if annuity <= 0.0:
-        raise DegenerateAnnuity(f"defaultable annuity {annuity} is not positive")
-    numerator = (1.0 - recovery) * default_leg_pv(discount, survival, schedule)
-    return SpreadResult(spread=numerator / annuity, numerator=numerator, annuity=annuity)
+    return _par_cds(_grid(discount, survival, schedule), recovery)
 
 
 def par_asw_spread(
@@ -188,11 +218,7 @@ def par_asw_spread(
     bond: BondSpec,
 ) -> SpreadResult:
     """Standard asset swap: (risk-free bond - risky bond) over the risk-free annuity."""
-    annuity = annuity_riskfree(discount, schedule)
-    numerator = price_riskfree_bond(discount, schedule, bond.coupon) - price_risky_bond(
-        discount, survival, schedule, bond
-    )
-    return SpreadResult(spread=numerator / annuity, numerator=numerator, annuity=annuity)
+    return _par_asw(_grid(discount, survival, schedule), bond)
 
 
 def par_cancelable_asw_spread(
@@ -202,23 +228,9 @@ def par_cancelable_asw_spread(
     bond: BondSpec,
 ) -> SpreadResult:
     """Asset swap killed at default with zero close-out: (1 - floater) over the defaultable annuity."""
-    annuity = annuity_defaultable(discount, survival, schedule)
-    if annuity <= 0.0:
-        raise DegenerateAnnuity(f"defaultable annuity {annuity} is not positive")
-    numerator = 1.0 - price_risky_floater(discount, survival, schedule, bond.recovery)
-    return SpreadResult(spread=numerator / annuity, numerator=numerator, annuity=annuity)
-
-
-def _swap_payments(
-    discount: DiscountCurve, schedule: Schedule, bond: BondSpec, spread: float
-) -> list[float]:
-    """Discounted holder-side swap payment of each period: (-c + eps + s) * theta * P."""
-    dfs = _discounts(discount, schedule)
-    eps = forward_fixings(discount, schedule)
-    return [
-        (-bond.coupon + eps[k - 1] + spread) * theta * dfs[k]
-        for k, theta in enumerate(schedule.accruals, start=1)
-    ]
+    return par_cancelable_asw_spread_generalized(
+        discount, survival, schedule, bond, schedule.maturity, 1.0
+    )
 
 
 def standard_asw_pv(
@@ -233,8 +245,8 @@ def standard_asw_pv(
     The swap runs to t_N regardless of default; the upfront is the
     pull-to-par of the bond.
     """
-    upfront = price_risky_bond(discount, survival, schedule, bond) - 1.0
-    return fsum(_swap_payments(discount, schedule, bond, spread)) + upfront
+    g = _grid(discount, survival, schedule)
+    return fsum(_swap_payments(g, bond.coupon, spread)) + (_risky_bond(g, bond) - 1.0)
 
 
 def cancelable_asw_pv(
@@ -245,10 +257,9 @@ def cancelable_asw_pv(
     spread: float,
 ) -> float:
     """Holder PV of the break-clause asset swap: payments gated on survival."""
-    qs = _survivals(survival, schedule)
-    payments = _swap_payments(discount, schedule, bond, spread)
-    upfront = price_risky_bond(discount, survival, schedule, bond) - 1.0
-    return fsum(p * qs[k] for k, p in enumerate(payments, start=1)) + upfront
+    g = _grid(discount, survival, schedule)
+    payments = _swap_payments(g, bond.coupon, spread)
+    return fsum([pay * q for pay, q in zip(payments, g.q[1:])]) + (_risky_bond(g, bond) - 1.0)
 
 
 def mtm_profile(
@@ -259,26 +270,8 @@ def mtm_profile(
     Deterministic rates make the conditional expectation a plain discounted
     tail sum: values[k-1] = sum over h >= k of (-c + eps + s) * theta_h * P(t_k, t_h).
     """
-    dfs = _discounts(discount, schedule)
-    payments = _swap_payments(discount, schedule, bond, spread)
-    values = [0.0] * len(payments)
-    tail = 0.0
-    for k in range(len(payments), 0, -1):
-        tail += payments[k - 1]
-        values[k - 1] = tail / dfs[k]
+    values = _mtm_values(_grid(discount, None, schedule), bond.coupon, spread)
     return MtmProfile(values=tuple(values))
-
-
-def crossed_tail_sum(outer: Sequence[float], inner: Sequence[float]) -> float:
-    """Sum over k of outer[k] times the tail sum of inner from k onward."""
-    if len(outer) != len(inner):
-        raise ValueError("outer and inner must have the same length")
-    tails = [0.0] * len(inner)
-    tail = 0.0
-    for k in range(len(inner), 0, -1):
-        tail += inner[k - 1]
-        tails[k - 1] = tail
-    return fsum(o * t for o, t in zip(outer, tails))
 
 
 def early_termination_pv(
@@ -292,11 +285,13 @@ def early_termination_pv(
 
     Minus the probability-weighted discounted mark-to-market forfeited at
     default; the difference of a unilateral DVA and CVA, both under the
-    issuer's default law.
+    issuer's default law. Summed by payment date, each swap payment is
+    forfeited with the probability of a default at or before it:
+    -sum of pay_k * (Q(t0) - Q(t_k)).
     """
-    probs = default_distribution(survival, schedule).bucket_probs
-    payments = _swap_payments(discount, schedule, bond, spread)
-    return -crossed_tail_sum(probs, payments)
+    g = _grid(discount, survival, schedule)
+    payments = _swap_payments(g, bond.coupon, spread)
+    return -fsum([pay * (g.q[0] - q) for pay, q in zip(payments, g.q[1:])])
 
 
 def forward_bond_price(
@@ -312,20 +307,7 @@ def forward_bond_price(
     Q(t0, t) / Q(t0, T_r); at T_r = t_N this is the unit redemption.
     """
     idx = schedule.index_at(repo_maturity)
-    if idx == schedule.n_periods - 1:
-        return 1.0
-    dfs = _discounts(discount, schedule)
-    qs = _survivals(survival, schedule)
-    df_r = dfs[idx + 1]
-    q_r = qs[idx + 1]
-    coupons = fsum(
-        bond.coupon * schedule.accruals[k - 1] * dfs[k] * qs[k]
-        for k in range(idx + 2, len(dfs))
-    )
-    recovery = fsum(
-        dfs[k - 1] * (qs[k - 1] - qs[k]) for k in range(idx + 2, len(dfs))
-    )
-    return (coupons + dfs[-1] * qs[-1] + bond.recovery * recovery) / (df_r * q_r)
+    return _forward_bond(_grid(discount, survival, schedule), bond, idx)
 
 
 def par_cancelable_asw_spread_generalized(
@@ -341,12 +323,8 @@ def par_cancelable_asw_spread_generalized(
     (X - floater(T_r)) over the defaultable annuity to T_r; reduces to the
     plain break-clause spread at T_r = t_N with X = 1.
     """
-    truncated = truncate_schedule(schedule, repo_maturity)
-    annuity = annuity_defaultable(discount, survival, truncated)
-    if annuity <= 0.0:
-        raise DegenerateAnnuity(f"defaultable annuity {annuity} is not positive")
-    numerator = forward_price - price_risky_floater(discount, survival, truncated, bond.recovery)
-    return SpreadResult(spread=numerator / annuity, numerator=numerator, annuity=annuity)
+    idx = schedule.index_at(repo_maturity)
+    return _par_cancelable(_grid(discount, survival, schedule), bond, idx + 1, forward_price)
 
 
 def implied_repo_spreads(

@@ -19,21 +19,28 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .curves import DiscountCurve, SurvivalCurve, default_distribution, forward_fixings
-from .errors import InconsistentSpecs
+from .curves import (
+    DefaultDistribution,
+    DiscountCurve,
+    SurvivalCurve,
+    _distribution,
+    _Grid,
+    _grid,
+    default_distribution,
+)
+from .errors import ConfigError, InconsistentSpecs
 from .pricers import (
     BondSpec,
     RepoSpec,
-    forward_bond_price,
-    mtm_profile,
-    par_asw_spread,
-    par_cancelable_asw_spread,
-    par_cancelable_asw_spread_generalized,
-    price_risky_bond,
+    _forward_bond,
+    _mtm_values,
+    _par_asw,
+    _par_cancelable,
+    _risky_bond,
 )
 from .schedule import Schedule
 
@@ -81,10 +88,13 @@ class CashflowLedger:
 
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
-        return fsum(
-            (-e.amount if e.leg is Leg.CDS else e.amount) * discount.discount_factor(e.time)
-            for e in self.entries
-        )
+        times = {e.time for e in self.entries}
+        return _residual(self.entries, {t: discount.discount_factor(t) for t in times})
+
+
+def _residual(entries: Iterable[CashflowEntry], dfs: Mapping[float, float]) -> float:
+    """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0 by dfs[time]."""
+    return fsum((-e.amount if e.leg is Leg.CDS else e.amount) * dfs[e.time] for e in entries)
 
 
 class ScenarioResidual(NamedTuple):
@@ -133,9 +143,7 @@ class McCheckResult(NamedTuple):
     std_error: float
 
 
-def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[DefaultScenario]:
-    """All N + 1 scenarios: default buckets ascending, survival last."""
-    dist = default_distribution(survival, schedule)
+def _scenarios(dist: DefaultDistribution) -> list[DefaultScenario]:
     scenarios = [
         DefaultScenario(default_bucket=k, probability=p)
         for k, p in enumerate(dist.bucket_probs, start=1)
@@ -144,31 +152,9 @@ def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[Def
     return scenarios
 
 
-def _resolve_repo(
-    discount: DiscountCurve,
-    survival: SurvivalCurve,
-    schedule: Schedule,
-    bond: BondSpec,
-    repo: RepoSpec,
-) -> tuple[float, int, float]:
-    """Repo maturity (on the grid), its 0-based index, and the forward price."""
-    maturity = schedule.maturity if repo.maturity is None else repo.maturity
-    idx = schedule.index_at(maturity)
-    maturity = schedule.dates[idx]
-    at_bond_maturity = idx == schedule.n_periods - 1
-    if repo.forward_price is None:
-        price = 1.0 if at_bond_maturity else forward_bond_price(
-            discount, survival, schedule, bond, maturity
-        )
-    else:
-        price = repo.forward_price
-        if at_bond_maturity and abs(price - 1.0) > _FORWARD_PRICE_TOL:
-            raise InconsistentSpecs(
-                f"repo to maturity must use forward price 1, got {price}"
-            )
-    if price <= 0.0:
-        raise InconsistentSpecs(f"forward price must be positive, got {price}")
-    return maturity, idx, price
+def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[DefaultScenario]:
+    """All N + 1 scenarios: default buckets ascending, survival last."""
+    return _scenarios(default_distribution(survival, schedule))
 
 
 @dataclass(frozen=True)
@@ -183,50 +169,55 @@ class _LedgerInputs:
     fwd_price: float
     terminal_price: float  # bond value at unwind on survival
     bond_price: float
-    eps: tuple[float, ...]
-    mtm_values: tuple[float, ...] | None  # close-outs, only without the clause
+    eps: list[float]
+    mtm_values: list[float] | None  # close-outs, only without the clause
     asw_spread: float
     cds_spread: float
-    clause_enabled: bool
 
 
 def _prepare_inputs(
-    discount: DiscountCurve,
-    survival: SurvivalCurve,
+    g: _Grid,
     schedule: Schedule,
     bond: BondSpec,
     repo: RepoSpec,
-    asw_spread: float,
-    cds_spread: float,
     clause_enabled: bool,
+    spreads: tuple[float, float] | None = None,
 ) -> _LedgerInputs:
-    maturity, idx, fwd_price = _resolve_repo(discount, survival, schedule, bond, repo)
-    last_period = idx + 1
-    if not clause_enabled and last_period != schedule.n_periods:
+    """Resolve the repo onto the grid and gather the ledger's inputs.
+
+    spreads is (asw, cds); None means the par spread of the swap actually
+    traded, with the CDS at that spread plus the repo spread.
+    """
+    maturity = schedule.maturity if repo.maturity is None else repo.maturity
+    idx = schedule.index_at(maturity)
+    fair = _forward_bond(g, bond, idx)
+    fwd_price = fair if repo.forward_price is None else repo.forward_price
+    at_bond_maturity = idx == schedule.n_periods - 1
+    if at_bond_maturity and abs(fwd_price - 1.0) > _FORWARD_PRICE_TOL:
+        raise InconsistentSpecs(f"repo to maturity must use forward price 1, got {fwd_price}")
+    if fwd_price <= 0.0:
+        raise InconsistentSpecs(f"forward price must be positive, got {fwd_price}")
+    if not clause_enabled and not at_bond_maturity:
         raise InconsistentSpecs(
             "close-out at default (no clause) is only defined for a repo to maturity"
         )
-    terminal_price = 1.0 if last_period == schedule.n_periods else forward_bond_price(
-        discount, survival, schedule, bond, maturity
-    )
+    if spreads is None:
+        par = _par_cancelable(g, bond, idx + 1, fwd_price) if clause_enabled else _par_asw(g, bond)
+        spreads = par.spread, par.spread + repo.spread
+    asw_spread, cds_spread = spreads
     return _LedgerInputs(
         schedule=schedule,
         bond=bond,
         repo_spread=repo.spread,
-        maturity=maturity,
-        last_period=last_period,
+        maturity=schedule.dates[idx],
+        last_period=idx + 1,
         fwd_price=fwd_price,
-        terminal_price=terminal_price,
-        bond_price=price_risky_bond(discount, survival, schedule, bond),
-        eps=forward_fixings(discount, schedule),
-        mtm_values=(
-            None
-            if clause_enabled
-            else mtm_profile(discount, schedule, bond, asw_spread).values
-        ),
+        terminal_price=fair,
+        bond_price=_risky_bond(g, bond),
+        eps=g.eps,
+        mtm_values=None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread),
         asw_spread=asw_spread,
         cds_spread=cds_spread,
-        clause_enabled=clause_enabled,
     )
 
 
@@ -287,7 +278,8 @@ def portfolio_ledger(
     maturity never touches the (already unwound) portfolio.
     """
     inputs = _prepare_inputs(
-        discount, survival, schedule, bond, repo, asw_spread, cds_spread, clause_enabled
+        _grid(discount, survival, schedule), schedule, bond, repo, clause_enabled,
+        (asw_spread, cds_spread),
     )
     return CashflowLedger(entries=_scenario_entries(inputs, scenario))
 
@@ -306,49 +298,33 @@ def replication_report(
     (break-clause if the clause is on, standard otherwise) and the CDS runs
     at that spread plus the repo spread. With the clause on, every scenario
     residual vanishes; without it, the default scenarios leak the discounted
-    close-out amounts.
+    close-out amounts. max_abs_residual is NaN if any residual is.
     """
-    maturity, idx, fwd_price = _resolve_repo(discount, survival, schedule, bond, repo)
-    if clause_enabled and idx + 1 < schedule.n_periods:
-        asw_spread = par_cancelable_asw_spread_generalized(
-            discount, survival, schedule, bond, maturity, fwd_price
-        ).spread
-    elif clause_enabled:
-        asw_spread = par_cancelable_asw_spread(discount, survival, schedule, bond).spread
-    else:
-        asw_spread = par_asw_spread(discount, survival, schedule, bond).spread
-    cds_spread = asw_spread + repo.spread
-
-    resolved = RepoSpec(spread=repo.spread, maturity=maturity, forward_price=fwd_price)
-    inputs = _prepare_inputs(
-        discount, survival, schedule, bond, resolved, asw_spread, cds_spread, clause_enabled
-    )
-    dfs = {schedule.t0: discount.discount_factor(schedule.t0)}
-    dfs.update((t, discount.discount_factor(t)) for t in schedule.dates)
-    rows = []
-    for scenario in enumerate_scenarios(survival, schedule):
-        entries = _scenario_entries(inputs, scenario)
-        residual = fsum(
-            (-e.amount if e.leg is Leg.CDS else e.amount) * dfs[e.time] for e in entries
+    g = _grid(discount, survival, schedule)
+    inputs = _prepare_inputs(g, schedule, bond, repo, clause_enabled)
+    dfs = dict(zip([schedule.t0, *schedule.dates], g.p))
+    rows = [
+        ScenarioResidual(
+            default_bucket=scenario.default_bucket,
+            probability=scenario.probability,
+            residual=_residual(_scenario_entries(inputs, scenario), dfs),
         )
-        rows.append(
-            ScenarioResidual(
-                default_bucket=scenario.default_bucket,
-                probability=scenario.probability,
-                residual=residual,
-            )
-        )
+        for scenario in _scenarios(_distribution(g.q))
+    ]
     expected = fsum(r.probability * r.residual for r in rows)
+    abs_residuals = [abs(r.residual) for r in rows]
     return ReplicationReport(
         clause_enabled=clause_enabled,
-        asw_spread=asw_spread,
-        cds_spread=cds_spread,
+        asw_spread=inputs.asw_spread,
+        cds_spread=inputs.cds_spread,
         repo_spread=repo.spread,
-        repo_maturity=maturity,
-        forward_price=fwd_price,
+        repo_maturity=inputs.maturity,
+        forward_price=inputs.fwd_price,
         scenarios=tuple(rows),
         expected_residual=expected,
-        max_abs_residual=max(abs(r.residual) for r in rows),
+        max_abs_residual=(
+            math.nan if any(map(math.isnan, abs_residuals)) else max(abs_residuals)
+        ),
     )
 
 
@@ -366,10 +342,13 @@ def mc_check(
 
     Default buckets are drawn with a counter-based generator (Philox keyed on
     the seed), so draw i is a pure function of (seed, i): results are bitwise
-    reproducible for a given seed regardless of how paths are evaluated.
+    reproducible for a given seed regardless of how paths are evaluated. The
+    seed is the 128-bit Philox key.
     """
     if n_paths < 1000:
-        raise ValueError(f"need at least 1000 paths, got {n_paths}")
+        raise ConfigError(f"mc paths: need at least 1000, got {n_paths}")
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     report = replication_report(discount, survival, schedule, bond, repo, clause_enabled)
     residuals = np.array([r.residual for r in report.scenarios])
     cumulative = np.cumsum([r.probability for r in report.scenarios])

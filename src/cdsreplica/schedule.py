@@ -7,43 +7,40 @@ stubs, and roll conventions are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 
 _GRID_TOL = 1e-9
-_ACCRUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Payment dates t_1 < ... < t_N with accruals theta_k = t_k - t_{k-1}.
 
-    Immutable after construction; safe to share across threads.
+    The accruals are derived from the dates. Immutable after construction;
+    safe to share across threads.
     """
 
     t0: float
     dates: tuple[float, ...]
-    accruals: tuple[float, ...]
+    accruals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(float(t) for t in self.dates))
-        object.__setattr__(self, "accruals", tuple(float(a) for a in self.accruals))
-        if not self.dates:
+        dates = tuple([float(t) for t in self.dates])
+        if not dates:
             raise ValueError("schedule needs at least one payment date")
-        if len(self.dates) != len(self.accruals):
-            raise ValueError("dates and accruals must have the same length")
+        accruals = []
         prev = self.t0
-        for t, theta in zip(self.dates, self.accruals):
-            if t <= prev:
+        for t in dates:
+            if not t > prev:
                 raise ValueError("dates must be strictly increasing and after t0")
-            if theta <= 0.0:
-                raise ValueError("accruals must be positive")
-            if abs(theta - (t - prev)) > _ACCRUAL_TOL:
-                raise ValueError(f"accrual {theta} does not match date gap {t - prev}")
+            accruals.append(t - prev)
             prev = t
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "accruals", tuple(accruals))
 
     @property
     def n_periods(self) -> int:
@@ -77,15 +74,10 @@ def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
             f"(maturity - t0) * frequency = {n_exact} is not an integer number of periods"
         )
     dt = 1.0 / frequency
-    dates = tuple(t0 + k * dt for k in range(1, n + 1))
-    return Schedule(t0=t0, dates=dates, accruals=(dt,) * n)
+    return Schedule(t0=t0, dates=[t0 + k * dt for k in range(1, n + 1)])
 
 
 def truncate_schedule(schedule: Schedule, maturity: float) -> Schedule:
     """Prefix of the schedule ending at `maturity`, which must lie on the grid."""
     idx = schedule.index_at(maturity)
-    return Schedule(
-        t0=schedule.t0,
-        dates=schedule.dates[: idx + 1],
-        accruals=schedule.accruals[: idx + 1],
-    )
+    return Schedule(t0=schedule.t0, dates=schedule.dates[: idx + 1])

@@ -264,6 +264,29 @@ def test_criterion_7_above_below_par_ordering():
     )
 
 
+def test_criterion_7_gap_is_the_forfeited_close_out():
+    """The exact identity behind the signs criterion 7 measures.
+
+    s_aswc - s_asw = -ETP(s_asw) / A_def, with ETP the early-termination PV and
+    A_def the defaultable annuity: the gap has the sign of the expected
+    mark-to-market the holder gives up at default.
+    """
+    markets = [m for premium in (True, False) for m in _ordering_fixtures(premium)]
+    markets += [tuple(m) for m in _fixtures()[0]]
+    gaps = []
+    for discount, survival, schedule, bond in markets:
+        s_asw = par_asw_spread(discount, survival, schedule, bond).spread
+        aswc = par_cancelable_asw_spread(discount, survival, schedule, bond)
+        etp = early_termination_pv(discount, survival, schedule, bond, s_asw)
+        gaps.append(abs(aswc.spread - s_asw + etp / aswc.annuity))
+    _report(
+        "7 gap identity",
+        all(g < 1e-14 for g in gaps),
+        f"max |s_aswc - s_asw + ETP(s_asw) / A_def| = {max(gaps):.3e} "
+        f"over {len(gaps)} fixtures",
+    )
+
+
 def test_criterion_8_calibration_and_monte_carlo():
     discount = DiscountCurve.flat(0.02)
     schedule = build_schedule(0.0, 5.0, 1)

@@ -240,3 +240,43 @@ class TestCalibrate:
         code, _, err = run_cli(capsys, "--config", config_file(self.base(20000.0)), "calibrate")
         assert code == 3
         assert "quote" in err.lower()
+
+
+def _with(section, **fields):
+    return dict(F1_CONFIG, **{section: dict(F1_CONFIG.get(section, {}), **fields)})
+
+
+@pytest.mark.parametrize(
+    "payload,argv,code",
+    [
+        (F1_CONFIG, ("replicate", "--mc", "10"), 2),
+        (F1_CONFIG, ("replicate", "--mc", "2000", "--seed", "-1"), 2),
+        (_with("repo", maturity=2.5), ("replicate",), 2),
+        (_with("repo", maturity=2.5), ("price",), 2),
+        (_with("bond", frequency=3), ("price",), 2),
+        (_with("bond", maturity=1.3, frequency=4), ("price",), 2),
+        (dict(F1_CONFIG, discount_nodes=[[5.0, 1e308]]), ("price",), 3),
+    ],
+    ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
+         "non-integral-maturity", "vanishing-annuity"],
+)
+def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
+    got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_nan_residual_exits_4(config_file, capsys, monkeypatch):
+    import cdsreplica.cli as cli_module
+
+    real = cli_module.replication_report
+
+    def poisoned(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return type(report)(**{**report.__dict__, "max_abs_residual": float("nan")})
+
+    monkeypatch.setattr(cli_module, "replication_report", poisoned)
+    code, _, _ = run_cli(capsys, "--config", config_file(F1_CONFIG), "replicate")
+    assert code == 4

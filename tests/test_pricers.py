@@ -11,12 +11,12 @@ from cdsreplica import (
     DegenerateAnnuity,
     DiscountCurve,
     MaturityNotOnGrid,
+    RepoSpec,
     SurvivalCurve,
     annuity_defaultable,
     annuity_riskfree,
     build_schedule,
     cancelable_asw_pv,
-    crossed_tail_sum,
     default_leg_pv,
     early_termination_pv,
     forward_bond_price,
@@ -279,31 +279,6 @@ class TestMtmProfile:
             assert profile.values[k - 1] == pytest.approx(brute, abs=TOL)
 
 
-class TestCrossedTailSum:
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.floats(-10, 10, allow_nan=False),
-                st.floats(-10, 10, allow_nan=False),
-            ),
-            min_size=0,
-            max_size=30,
-        )
-    )
-    def test_summation_order_swap(self, data):
-        a = [x for x, _ in data]
-        b = [y for _, y in data]
-        lhs = crossed_tail_sum(a, b)
-        rhs = math.fsum(
-            b[h] * math.fsum(a[k] for k in range(h + 1)) for h in range(len(b))
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            crossed_tail_sum([1.0], [1.0, 2.0])
-
-
 class TestEarlyTerminationPv:
     def test_no_hazard_gives_zero(self, f1):
         assert early_termination_pv(
@@ -442,6 +417,22 @@ def test_degenerate_annuity_unreachable_but_guarded():
     crushed = SurvivalCurve.flat(800.0)  # survival underflows to exactly 0.0
     with pytest.raises(DegenerateAnnuity):
         par_cds_spread(discount, crushed, schedule, 0.4)
+
+
+def test_vanishing_riskfree_annuity_guarded(f1):
+    # discount factors underflow to 0.0: the risk-free annuity vanishes with them
+    with pytest.raises(DegenerateAnnuity):
+        par_asw_spread(DiscountCurve.flat(1e308), f1.survival, f1.schedule, f1.bond)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [dict(spread=math.nan), dict(spread=math.inf), dict(spread=0.0, maturity=math.nan),
+     dict(spread=0.0, forward_price=-math.inf)],
+)
+def test_non_finite_repo_spec_rejected(fields):
+    with pytest.raises(ValueError):
+        RepoSpec(**fields)
 
 
 def test_premium_bond_lowers_clause_spread(f1):

@@ -260,6 +260,24 @@ class TestReplicationReport:
         target = -delta * f1.discount.discount_factor(3.0) * f1.survival.survival_prob(3.0)
         assert report.expected_residual == pytest.approx(target, abs=TOL)
 
+    def test_nan_residual_is_the_max(self, f1, monkeypatch):
+        # max() skips a NaN that is not the first item; the report must not
+        import cdsreplica.replication as replication
+
+        real = replication._residual
+        calls = []
+
+        def nan_after_first(entries, dfs):
+            calls.append(None)
+            return real(entries, dfs) if len(calls) == 1 else math.nan
+
+        monkeypatch.setattr(replication, "_residual", nan_after_first)
+        report = replication_report(
+            f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001), True
+        )
+        assert math.isfinite(report.scenarios[0].residual)
+        assert math.isnan(report.max_abs_residual)
+
     def test_report_serializes(self, f1):
         report = replication_report(
             f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001), True

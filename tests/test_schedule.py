@@ -71,11 +71,11 @@ def test_nonzero_anchor():
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(t0=0.0, dates=(2.0, 1.0), accruals=(2.0, -1.0)),
-        dict(t0=0.0, dates=(1.0, 1.0), accruals=(1.0, 0.0)),
-        dict(t0=0.0, dates=(1.0, 2.0), accruals=(1.0, 0.5)),
-        dict(t0=0.0, dates=(), accruals=()),
-        dict(t0=2.0, dates=(1.0,), accruals=(1.0,)),
+        dict(t0=0.0, dates=(2.0, 1.0)),
+        dict(t0=0.0, dates=(1.0, 1.0)),
+        dict(t0=0.0, dates=(0.0, 1.0)),
+        dict(t0=0.0, dates=()),
+        dict(t0=2.0, dates=(1.0,)),
     ],
 )
 def test_invalid_schedules_rejected(bad):
@@ -109,3 +109,8 @@ def test_truncate_keeps_prefix(periods, cut, frequency):
     t = truncate_schedule(s, s.dates[cut - 1])
     assert t.dates == s.dates[:cut]
     assert t.accruals == s.accruals[:cut]
+
+
+def test_nan_date_rejected():
+    with pytest.raises(ValueError):
+        Schedule(t0=0.0, dates=(1.0, math.nan))
