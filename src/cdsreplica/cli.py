@@ -4,8 +4,8 @@ Subcommands: price, replicate, implied-repo, calibrate. All rates, spreads,
 and hazards are decimals per year; all times are year fractions from t0 = 0.
 
 Exit codes: 0 success (and, for `replicate` with the clause on, residuals
-within tolerance); 2 validation error; 3 numerical failure; 4 replication
-residual above tolerance.
+within tolerance); 2 validation error; 3 numerical failure (an overflow
+included); 4 replication residual above tolerance.
 """
 
 from __future__ import annotations
@@ -15,21 +15,37 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
-from .curves import DiscountCurve, SurvivalCurve, calibrate_flat_hazard
+from .curves import DiscountCurve, SurvivalCurve, _grid, calibrate_flat_hazard
 from .errors import ConfigError, CrossedMarket, InconsistentSpecs, PricingError, QuoteUnattainable
 from .pricers import (
     BondSpec,
     RepoSpec,
+    _annuity,
+    _early_termination,
+    _forward_bond,
+    _note,
+    _par_asw,
+    _par_cancelable,
+    _par_cds,
+    _risky_bond,
+    _riskless,
+    implied_repo_spreads,
+    par_cds_spread,
+)
+
+# cmd_price prices on one grid through the private helpers above; these public
+# pricers stay importable from this module, where bench/workloads.py wraps them
+# by name (CLI_CALLS) on the cli-mix workload.
+from .pricers import (  # noqa: F401
     annuity_defaultable,
     annuity_riskfree,
     early_termination_pv,
     forward_bond_price,
-    implied_repo_spreads,
     par_asw_spread,
     par_cancelable_asw_spread,
     par_cancelable_asw_spread_generalized,
-    par_cds_spread,
     price_riskfree_bond,
     price_risky_bond,
     price_risky_floater,
@@ -270,35 +286,32 @@ def _repo_spec(config: MarketConfig) -> RepoSpec:
 
 
 def cmd_price(config: MarketConfig) -> dict:
-    """Prices, annuities, and every par spread for the configured market."""
+    """Prices, annuities, and every par spread for the configured market, on one grid."""
     discount, survival, schedule, bond = _build_market(config)
-    s_asw = par_asw_spread(discount, survival, schedule, bond)
+    g = _grid(discount, survival, schedule)
+    riskless = _riskless(g)
+    s_asw = _par_asw(g, bond).spread
     report = {
-        "riskfree_bond_price": price_riskfree_bond(discount, schedule, bond.coupon),
-        "risky_bond_price": price_risky_bond(discount, survival, schedule, bond),
-        "risky_floater_price": price_risky_floater(discount, survival, schedule, bond.recovery),
-        "annuity_riskfree": annuity_riskfree(discount, schedule),
-        "annuity_defaultable": annuity_defaultable(discount, survival, schedule),
-        "cds_par_spread": par_cds_spread(discount, survival, schedule, bond.recovery).spread,
-        "asw_par_spread": s_asw.spread,
-        "cancelable_asw_par_spread": par_cancelable_asw_spread(
-            discount, survival, schedule, bond
-        ).spread,
-        "early_termination_pv": early_termination_pv(
-            discount, survival, schedule, bond, s_asw.spread
-        ),
+        "riskfree_bond_price": _note(riskless, repeat(bond.coupon), 0.0),
+        "risky_bond_price": _risky_bond(g, bond),
+        "risky_floater_price": _note(g, g.eps, bond.recovery),
+        "annuity_riskfree": _annuity(riskless),
+        "annuity_defaultable": _annuity(g),
+        "cds_par_spread": _par_cds(g, bond.recovery).spread,
+        "asw_par_spread": s_asw,
+        "cancelable_asw_par_spread": _par_cancelable(g, bond, schedule.n_periods, 1.0).spread,
+        "early_termination_pv": _early_termination(g, bond.coupon, s_asw),
     }
     repo_maturity = config.repo.maturity
     if repo_maturity is not None and repo_maturity < schedule.maturity - 1e-9:
-        fair = forward_bond_price(discount, survival, schedule, bond, repo_maturity)
+        idx = schedule.index_at(repo_maturity)
+        fair = _forward_bond(g, bond, idx)
         forward_price = config.repo.forward_price
         if forward_price is None:
             forward_price = fair
         report["forward_bond_price"] = fair
         report["generalized_cancelable_asw_par_spread"] = (
-            par_cancelable_asw_spread_generalized(
-                discount, survival, schedule, bond, repo_maturity, forward_price
-            ).spread
+            _par_cancelable(g, bond, idx + 1, forward_price).spread
         )
     return report
 
@@ -441,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 3
     _emit(payload, args.pretty, args.bp)
     return code

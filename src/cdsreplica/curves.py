@@ -32,7 +32,7 @@ def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[fl
         raise ValueError("node_times and rates must have the same length")
     prev = t0
     for node in node_times:
-        if node <= prev:
+        if not node > prev:  # also rejects NaN
             raise ValueError("node times must be strictly increasing and after t0")
         prev = node
     for r in rates:

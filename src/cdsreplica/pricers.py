@@ -121,8 +121,12 @@ def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
     return _par((1.0 - recovery) * _default_leg(g), _annuity(g))
 
 
+def _riskless(g: _Grid) -> _Grid:
+    return g._replace(q=[1.0] * len(g.p))
+
+
 def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:
-    riskless = g._replace(q=[1.0] * len(g.p))
+    riskless = _riskless(g)
     return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), _annuity(riskless))
 
 
@@ -145,6 +149,12 @@ def _mtm_values(g: _Grid, coupon: float, spread: float) -> list[float]:
         tail += payments[k - 1]
         values[k - 1] = tail / g.p[k]
     return values
+
+
+def _early_termination(g: _Grid, coupon: float, spread: float) -> float:
+    """-sum of pay_k * (Q_0 - Q_k): each swap payment forfeited if default comes first."""
+    payments = _swap_payments(g, coupon, spread)
+    return -fsum([pay * (g.q[0] - q) for pay, q in zip(payments, g.q[1:])])
 
 
 def _forward_bond(g: _Grid, bond: BondSpec, idx: int) -> float:
@@ -289,9 +299,7 @@ def early_termination_pv(
     forfeited with the probability of a default at or before it:
     -sum of pay_k * (Q(t0) - Q(t_k)).
     """
-    g = _grid(discount, survival, schedule)
-    payments = _swap_payments(g, bond.coupon, spread)
-    return -fsum([pay * (g.q[0] - q) for pay, q in zip(payments, g.q[1:])])
+    return _early_termination(_grid(discount, survival, schedule), bond.coupon, spread)
 
 
 def forward_bond_price(

@@ -11,6 +11,11 @@ leg) and the repo is repaid at the same rolled notional (booked on the repo
 leg); the two rows net to -LGD * (1 + eps * theta), identical to the CDS
 payout. Booking them gross keeps each leg's enumerated value equal to its
 instrument's price.
+
+Every scenario's ledger is a slice of one per-market cashflow table: the
+opening rows, the rows of the periods survived, and the settlement of the
+default (or the survival unwind). The table is O(N) rows, each discounted
+once; a scenario residual is one exact sum over its slice.
 """
 
 from __future__ import annotations
@@ -19,9 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import Iterable, Mapping, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 from .curves import (
     DefaultDistribution,
@@ -88,13 +91,22 @@ class CashflowLedger:
 
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
-        times = {e.time for e in self.entries}
-        return _residual(self.entries, {t: discount.discount_factor(t) for t in times})
+        dfs = {t: discount.discount_factor(t) for t in {e.time for e in self.entries}}
+        return _residual([_term(e.leg, e.amount, dfs[e.time]) for e in self.entries])
 
 
-def _residual(entries: Iterable[CashflowEntry], dfs: Mapping[float, float]) -> float:
-    """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0 by dfs[time]."""
-    return fsum((-e.amount if e.leg is Leg.CDS else e.amount) * dfs[e.time] for e in entries)
+def _term(leg: Leg, amount: float, df: float) -> float:
+    """One row's discounted share of the residual: the CDS counts against the portfolio."""
+    return (-amount if leg is Leg.CDS else amount) * df
+
+
+def _residual(terms: list[float]) -> float:
+    """Portfolio (bond + repo + asset swap) minus CDS: the rows' terms, summed exactly.
+
+    fsum is correctly rounded, so the result does not depend on the order of
+    the terms, only on which terms a scenario holds.
+    """
+    return fsum(terms)
 
 
 class ScenarioResidual(NamedTuple):
@@ -159,17 +171,13 @@ def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[Def
 
 @dataclass(frozen=True)
 class _LedgerInputs:
-    """Per-market quantities shared by every scenario's ledger."""
+    """The deal terms resolved onto the grid: what the cashflow table needs beyond it."""
 
-    schedule: Schedule
-    bond: BondSpec
     repo_spread: float
-    maturity: float
     last_period: int  # 1-based count of periods the portfolio runs
     fwd_price: float
     terminal_price: float  # bond value at unwind on survival
     bond_price: float
-    eps: list[float]
     mtm_values: list[float] | None  # close-outs, only without the clause
     asw_spread: float
     cds_spread: float
@@ -206,59 +214,105 @@ def _prepare_inputs(
         spreads = par.spread, par.spread + repo.spread
     asw_spread, cds_spread = spreads
     return _LedgerInputs(
-        schedule=schedule,
-        bond=bond,
         repo_spread=repo.spread,
-        maturity=schedule.dates[idx],
         last_period=idx + 1,
         fwd_price=fwd_price,
         terminal_price=fair,
         bond_price=_risky_bond(g, bond),
-        eps=g.eps,
         mtm_values=None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread),
         asw_spread=asw_spread,
         cds_spread=cds_spread,
     )
 
 
-def _scenario_entries(inputs: _LedgerInputs, scenario: DefaultScenario) -> tuple[CashflowEntry, ...]:
-    schedule = inputs.schedule
-    bond = inputs.bond
-    bucket = scenario.default_bucket
-    if bucket is not None and bucket > inputs.last_period:
-        bucket = None  # default after unwind: the portfolio never sees it
+_OPENING_ROWS = 3
+_PERIOD_ROWS = 4
 
-    entries = [
-        CashflowEntry(schedule.t0, Leg.BOND, -inputs.bond_price),
-        CashflowEntry(schedule.t0, Leg.REPO, inputs.fwd_price),
-        CashflowEntry(schedule.t0, Leg.ASSET_SWAP, inputs.bond_price - inputs.fwd_price),
+_Row = tuple[int, Leg, float]  # (k, leg, amount): a cashflow paid at t_k, t0 for k = 0
+
+
+def _exact_parts(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of values: fsum, then fsum of what it
+    rounded away, until nothing is left. A sum that is not finite is kept as is."""
+    parts: list[float] = []
+    rest = fsum(values)
+    while rest and math.isfinite(rest):
+        parts.append(rest)
+        rest = fsum(values + [-p for p in parts])
+    return parts or [rest]
+
+
+class _CashflowTable(NamedTuple):
+    """Every cashflow of one market, each written down once.
+
+    body holds the opening rows at t0, the four rows (bond, repo, asset swap,
+    CDS) of each period 1..L in date order and the survival unwind at t_L;
+    settlements[b-1] holds the rows settling a default in bucket b <= L.
+    """
+
+    times: tuple[float, ...]  # t0, t_1, ..., t_N
+    p: list[float]  # P at the same times
+    body: list[_Row]
+    settlements: list[list[_Row]]
+
+    def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
+        """Survival, or a default after the unwind, sees the whole body; a default
+        in bucket b sees the opening, the periods before b and its settlement."""
+        rows = self.body
+        if bucket is not None and bucket <= len(self.settlements):
+            rows = rows[: _OPENING_ROWS + _PERIOD_ROWS * (bucket - 1)] + self.settlements[bucket - 1]
+        return tuple(CashflowEntry(self.times[k], leg, amount) for k, leg, amount in rows)
+
+    def _terms(self, rows: list[_Row]) -> list[float]:
+        return [_term(leg, amount, self.p[k]) for k, leg, amount in rows]
+
+    def residuals(self) -> list[float]:
+        """Residuals of default buckets 1..L, then of survival, over the terms of their entries.
+
+        Each row is discounted once. The scenarios share the opening and the
+        periods survived, so that prefix is carried forward as its
+        _exact_parts: each residual is one fsum over O(1) values, equal bit
+        for bit to the fsum over its whole slice, because fsum is correctly
+        rounded.
+        """
+        body = self._terms(self.body)
+        prefix = _exact_parts(body[:_OPENING_ROWS])
+        residuals = []
+        for start, settlement in zip(range(_OPENING_ROWS, len(body), _PERIOD_ROWS),
+                                     self.settlements):
+            residuals.append(_residual(prefix + self._terms(settlement)))
+            prefix = _exact_parts(prefix + body[start : start + _PERIOD_ROWS])
+        unwind = body[_OPENING_ROWS + _PERIOD_ROWS * len(self.settlements) :]
+        residuals.append(_residual(prefix + unwind))
+        return residuals
+
+
+def _cashflow_table(
+    g: _Grid, schedule: Schedule, bond: BondSpec, inputs: _LedgerInputs
+) -> _CashflowTable:
+    """The O(L) rows behind all N + 1 scenario ledgers."""
+    last = inputs.last_period
+    body: list[_Row] = [
+        (0, Leg.BOND, -inputs.bond_price),
+        (0, Leg.REPO, inputs.fwd_price),
+        (0, Leg.ASSET_SWAP, inputs.bond_price - inputs.fwd_price),
     ]
-
-    surviving_periods = inputs.last_period if bucket is None else bucket - 1
-    for k in range(1, surviving_periods + 1):
-        t = schedule.dates[k - 1]
-        theta = schedule.accruals[k - 1]
-        e = inputs.eps[k - 1]
-        entries.append(CashflowEntry(t, Leg.BOND, bond.coupon * theta))
-        entries.append(CashflowEntry(t, Leg.REPO, (-e + inputs.repo_spread) * theta))
-        entries.append(
-            CashflowEntry(t, Leg.ASSET_SWAP, (-bond.coupon + e + inputs.asw_spread) * theta)
-        )
-        entries.append(CashflowEntry(t, Leg.CDS, inputs.cds_spread * theta))
-
-    if bucket is None:
-        entries.append(CashflowEntry(inputs.maturity, Leg.BOND, inputs.terminal_price))
-        entries.append(CashflowEntry(inputs.maturity, Leg.REPO, -inputs.fwd_price))
-    else:
-        t = schedule.dates[bucket - 1]
-        rolled = 1.0 + inputs.eps[bucket - 1] * schedule.accruals[bucket - 1]
-        entries.append(CashflowEntry(t, Leg.BOND, bond.recovery * rolled))
-        entries.append(CashflowEntry(t, Leg.REPO, -rolled))
+    settlements: list[list[_Row]] = []
+    for k, theta, e in zip(range(1, last + 1), g.theta, g.eps):
+        body += [
+            (k, Leg.BOND, bond.coupon * theta),
+            (k, Leg.REPO, (-e + inputs.repo_spread) * theta),
+            (k, Leg.ASSET_SWAP, (-bond.coupon + e + inputs.asw_spread) * theta),
+            (k, Leg.CDS, inputs.cds_spread * theta),
+        ]
+        rolled = 1.0 + e * theta
+        settlement = [(k, Leg.BOND, bond.recovery * rolled), (k, Leg.REPO, -rolled)]
         if inputs.mtm_values is not None:
-            entries.append(CashflowEntry(t, Leg.ASSET_SWAP, inputs.mtm_values[bucket - 1]))
-        entries.append(CashflowEntry(t, Leg.CDS, -bond.lgd * rolled))
-
-    return tuple(entries)
+            settlement.append((k, Leg.ASSET_SWAP, inputs.mtm_values[k - 1]))
+        settlement.append((k, Leg.CDS, -bond.lgd * rolled))
+        settlements.append(settlement)
+    body += [(last, Leg.BOND, inputs.terminal_price), (last, Leg.REPO, -inputs.fwd_price)]
+    return _CashflowTable((schedule.t0, *schedule.dates), g.p, body, settlements)
 
 
 def portfolio_ledger(
@@ -277,11 +331,10 @@ def portfolio_ledger(
     The asset swap and the CDS mature with the repo; a default after the repo
     maturity never touches the (already unwound) portfolio.
     """
-    inputs = _prepare_inputs(
-        _grid(discount, survival, schedule), schedule, bond, repo, clause_enabled,
-        (asw_spread, cds_spread),
-    )
-    return CashflowLedger(entries=_scenario_entries(inputs, scenario))
+    g = _grid(discount, survival, schedule)
+    inputs = _prepare_inputs(g, schedule, bond, repo, clause_enabled, (asw_spread, cds_spread))
+    table = _cashflow_table(g, schedule, bond, inputs)
+    return CashflowLedger(entries=table.entries(scenario.default_bucket))
 
 
 def replication_report(
@@ -299,17 +352,18 @@ def replication_report(
     at that spread plus the repo spread. With the clause on, every scenario
     residual vanishes; without it, the default scenarios leak the discounted
     close-out amounts. max_abs_residual is NaN if any residual is.
+
+    Each residual is the correctly rounded exact sum of its scenario's slice
+    of the market's cashflow table; a default after the repo ends sees the
+    survival ledger.
     """
     g = _grid(discount, survival, schedule)
     inputs = _prepare_inputs(g, schedule, bond, repo, clause_enabled)
-    dfs = dict(zip([schedule.t0, *schedule.dates], g.p))
+    residuals = _cashflow_table(g, schedule, bond, inputs).residuals()
+    residuals += residuals[-1:] * (schedule.n_periods - inputs.last_period)
     rows = [
-        ScenarioResidual(
-            default_bucket=scenario.default_bucket,
-            probability=scenario.probability,
-            residual=_residual(_scenario_entries(inputs, scenario), dfs),
-        )
-        for scenario in _scenarios(_distribution(g.q))
+        ScenarioResidual(scenario.default_bucket, scenario.probability, residual)
+        for scenario, residual in zip(_scenarios(_distribution(g.q)), residuals)
     ]
     expected = fsum(r.probability * r.residual for r in rows)
     abs_residuals = [abs(r.residual) for r in rows]
@@ -318,7 +372,7 @@ def replication_report(
         asw_spread=inputs.asw_spread,
         cds_spread=inputs.cds_spread,
         repo_spread=repo.spread,
-        repo_maturity=inputs.maturity,
+        repo_maturity=schedule.dates[inputs.last_period - 1],
         forward_price=inputs.fwd_price,
         scenarios=tuple(rows),
         expected_residual=expected,
@@ -343,8 +397,11 @@ def mc_check(
     Default buckets are drawn with a counter-based generator (Philox keyed on
     the seed), so draw i is a pure function of (seed, i): results are bitwise
     reproducible for a given seed regardless of how paths are evaluated. The
-    seed is the 128-bit Philox key.
+    seed is the 128-bit Philox key. numpy is imported here, so that pricing
+    and the enumerated report never load it.
     """
+    import numpy as np
+
     if n_paths < 1000:
         raise ConfigError(f"mc paths: need at least 1000, got {n_paths}")
     if not 0 <= seed < 2**128:

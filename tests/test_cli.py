@@ -1,19 +1,33 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cdsreplica
 from cdsreplica import (
     BondSpec,
     DiscountCurve,
     SurvivalCurve,
+    annuity_defaultable,
+    annuity_riskfree,
     build_schedule,
+    early_termination_pv,
+    forward_bond_price,
     mtm_profile,
     par_asw_spread,
     par_cancelable_asw_spread,
+    par_cancelable_asw_spread_generalized,
     par_cds_spread,
+    price_riskfree_bond,
     price_risky_bond,
+    price_risky_floater,
 )
-from cdsreplica.cli import main, parse_config, serialize_config
+from cdsreplica.cli import _build_market, cmd_price, main, parse_config, serialize_config
+from markets import random_market
 
 F1_CONFIG = {
     "discount_nodes": [[5.0, 0.02]],
@@ -256,9 +270,11 @@ def _with(section, **fields):
         (_with("bond", frequency=3), ("price",), 2),
         (_with("bond", maturity=1.3, frequency=4), ("price",), 2),
         (dict(F1_CONFIG, discount_nodes=[[5.0, 1e308]]), ("price",), 3),
+        (dict(F1_CONFIG, discount_nodes=[[5.0, -300]]), ("price",), 3),
+        (_with("bond", coupon=1e308), ("replicate",), 3),
     ],
     ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
-         "non-integral-maturity", "vanishing-annuity"],
+         "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
@@ -280,3 +296,72 @@ def test_nan_residual_exits_4(config_file, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "replication_report", poisoned)
     code, _, _ = run_cli(capsys, "--config", config_file(F1_CONFIG), "replicate")
     assert code == 4
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only mc_check needs numpy; price, replicate, calibrate and implied-repo never load it
+    src = str(Path(cdsreplica.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cdsreplica.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def _price_config(market, repo: dict) -> dict:
+    """The CLI config of a fixture market; its curves and schedule rebuild exactly."""
+    schedule = market.schedule
+    return {
+        "discount_nodes": [list(n) for n in zip(market.discount.node_times, market.discount.fwd_rates)],
+        "hazard_nodes": [list(n) for n in zip(market.survival.node_times, market.survival.hazards)],
+        "bond": {"coupon": market.bond.coupon, "recovery": market.bond.recovery,
+                 "maturity": schedule.maturity, "frequency": round(1.0 / schedule.accruals[0])},
+        "repo": repo,
+    }
+
+
+def _price_configs():
+    yield "f1", F1_CONFIG
+    yield "f1-early-repo", _with("repo", maturity=3.0)
+    yield "f1-early-repo-forward", _with("repo", maturity=3.0, forward_price=1.01)
+    calibrated = {k: v for k, v in F1_CONFIG.items() if k != "hazard_nodes"}
+    yield "calibrated-early-repo", dict(calibrated, cds_quote=0.0123, repo={"maturity": 2.0})
+    rng = random.Random(5)
+    for i in range(12):
+        market = random_market(rng)
+        dates = market.schedule.dates
+        yield f"random-{i}", _price_config(market, {"spread": 0.001})
+        if len(dates) > 1:
+            repo = {"spread": 0.001, "maturity": dates[rng.randrange(len(dates) - 1)]}
+            yield f"random-{i}-early-repo", _price_config(market, repo)
+
+
+@pytest.mark.parametrize("payload", [c for _, c in _price_configs()],
+                         ids=[name for name, _ in _price_configs()])
+def test_price_report_equals_the_public_pricers(payload):
+    config = parse_config(payload)
+    discount, survival, schedule, bond = _build_market(config)
+    s_asw = par_asw_spread(discount, survival, schedule, bond).spread
+    expected = {
+        "riskfree_bond_price": price_riskfree_bond(discount, schedule, bond.coupon),
+        "risky_bond_price": price_risky_bond(discount, survival, schedule, bond),
+        "risky_floater_price": price_risky_floater(discount, survival, schedule, bond.recovery),
+        "annuity_riskfree": annuity_riskfree(discount, schedule),
+        "annuity_defaultable": annuity_defaultable(discount, survival, schedule),
+        "cds_par_spread": par_cds_spread(discount, survival, schedule, bond.recovery).spread,
+        "asw_par_spread": s_asw,
+        "cancelable_asw_par_spread": par_cancelable_asw_spread(
+            discount, survival, schedule, bond
+        ).spread,
+        "early_termination_pv": early_termination_pv(discount, survival, schedule, bond, s_asw),
+    }
+    repo_maturity = config.repo.maturity
+    if repo_maturity is not None:
+        fair = forward_bond_price(discount, survival, schedule, bond, repo_maturity)
+        forward = fair if config.repo.forward_price is None else config.repo.forward_price
+        expected["forward_bond_price"] = fair
+        expected["generalized_cancelable_asw_par_spread"] = par_cancelable_asw_spread_generalized(
+            discount, survival, schedule, bond, repo_maturity, forward
+        ).spread
+    assert cmd_price(config) == expected

@@ -62,6 +62,13 @@ class TestDiscountCurve:
             DiscountCurve(node_times=nodes, fwd_rates=rates)
 
 
+@pytest.mark.parametrize("curve", [DiscountCurve, SurvivalCurve])
+@pytest.mark.parametrize("nodes", [(math.nan,), (math.nan, 2.0), (1.0, math.nan)])
+def test_nan_node_time_rejected(curve, nodes):
+    with pytest.raises(ValueError):
+        curve(nodes, tuple(0.02 for _ in nodes))
+
+
 class TestSurvivalCurve:
     def test_no_hazard_is_certain_survival(self):
         curve = SurvivalCurve.flat(0.0)

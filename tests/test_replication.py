@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cdsreplica.replication as replication
 from cdsreplica import (
+    BondSpec,
     DiscountCurve,
     InconsistentSpecs,
     Leg,
@@ -24,7 +26,7 @@ from cdsreplica import (
     price_risky_bond,
     replication_report,
 )
-from markets import random_market
+from markets import random_discount, random_market, random_survival
 
 TOL = 1e-12
 
@@ -267,9 +269,9 @@ class TestReplicationReport:
         real = replication._residual
         calls = []
 
-        def nan_after_first(entries, dfs):
+        def nan_after_first(terms):
             calls.append(None)
-            return real(entries, dfs) if len(calls) == 1 else math.nan
+            return real(terms) if len(calls) == 1 else math.nan
 
         monkeypatch.setattr(replication, "_residual", nan_after_first)
         report = replication_report(
@@ -337,3 +339,56 @@ def test_pathwise_replication_for_random_markets(seed, repo_bp):
         market.discount, market.survival, market.schedule, market.bond, repo, True
     )
     assert report.max_abs_residual < TOL
+
+
+
+@given(
+    values=st.lists(st.floats(-1e200, 1e200), min_size=1, max_size=12),
+    extra=st.lists(st.floats(-1e200, 1e200), max_size=4),
+)
+@example(values=[1e16, 1.0], extra=[-1e16])
+@settings(max_examples=300, deadline=None)
+def test_exact_parts_keep_the_exact_sum(values, extra):
+    # the report carries each scenario's shared prefix as its _exact_parts; the
+    # settlement terms summed with them must round as with the prefix itself
+    assert math.fsum(replication._exact_parts(values) + extra) == math.fsum(values + extra)
+
+
+def _long_market(rng, periods):
+    maturity = periods / 12
+    return (
+        random_discount(rng, maturity),
+        random_survival(rng, maturity),
+        build_schedule(0.0, maturity, 12),
+        BondSpec(coupon=rng.uniform(0.0, 0.10), recovery=rng.uniform(0.0, 0.9)),
+    )
+
+
+def test_report_residuals_are_the_ledger_residuals_exactly():
+    # the report sums each scenario's slice of one cashflow table; portfolio_ledger
+    # materializes the same slice, so the two residuals agree bit for bit
+    rng = random.Random(2024)
+    markets = [random_market(rng) for _ in range(240)]
+    markets += [_long_market(rng, periods) for periods in (120, 128, 136)]
+    compared = 0
+    for i, (discount, survival, schedule, bond) in enumerate(markets):
+        n = schedule.n_periods
+        spread = rng.uniform(-0.01, 0.02)
+        # deals in turn: to maturity with the clause on and off, then an early
+        # repo at the fair forward price and at a perturbed one
+        kind = i % 4 if n > 1 else i % 2
+        repo, clause = RepoSpec(spread), kind != 1
+        if kind >= 2:
+            maturity = schedule.dates[rng.randrange(n - 1)]
+            forward = rng.uniform(0.9, 1.1) if kind == 3 else None
+            repo = RepoSpec(spread, maturity=maturity, forward_price=forward)
+        report = replication_report(discount, survival, schedule, bond, repo, clause)
+        scenarios = enumerate_scenarios(survival, schedule)
+        for scenario, row in zip(scenarios, report.scenarios, strict=True):
+            ledger = portfolio_ledger(
+                discount, survival, schedule, bond, repo,
+                report.asw_spread, report.cds_spread, clause, scenario,
+            )
+            assert row.residual == ledger.residual(discount)
+            compared += 1
+    assert compared > 5000
