@@ -14,11 +14,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import repeat
 
 from .curves import DiscountCurve, SurvivalCurve, _grid, calibrate_flat_hazard
-from .errors import ConfigError, CrossedMarket, InconsistentSpecs, PricingError, QuoteUnattainable
+from .errors import ConfigError, CrossedMarket, InconsistentSpecs, PricingError
 from .pricers import (
     BondSpec,
     RepoSpec,
@@ -55,207 +55,137 @@ from .schedule import Schedule, build_schedule
 
 REPLICATION_TOL = 1e-10
 
-_SPREAD_KEYS = frozenset({
-    "cds_par_spread",
-    "asw_par_spread",
-    "cancelable_asw_par_spread",
-    "generalized_cancelable_asw_par_spread",
-    "asw_spread",
-    "cds_spread",
-    "repo_spread",
-    "implied_repo_spread",
-    "implied_reverse_repo_spread",
-    "calibrated_hazard",
-    "reproduced_cds_spread",
-})
+
+def _require_number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return number
+
+
+def _number_where(holds, rule: str):
+    """A parser of a finite number that also satisfies holds(number), else `<path>: <rule>`."""
+    def parse(value, path: str) -> float:
+        number = _require_number(value, path)
+        if not holds(number):
+            raise ConfigError(f"{path}: {rule}")
+        return number
+    return parse
+
+
+_positive = _number_where(lambda x: x > 0.0, "must be positive")
+
+
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _forward_price(value, path: str) -> float | None:
+    return None if value == "fair" else _positive(value, path)
+
+
+def _nodes(parse_rate):
+    """A parser of a non-empty list of [time, rate] pairs, times positive and strictly increasing."""
+    def parse(raw, path: str) -> tuple[tuple[float, float], ...]:
+        # a tuple too: serialize_config gives the nodes back as tuples
+        if not isinstance(raw, (list, tuple)) or not raw:
+            raise ConfigError(f"{path}: expected a non-empty list of [time, rate] pairs")
+        nodes = []
+        for i, pair in enumerate(raw):
+            where = f"{path}[{i}]"
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"{where}: expected a [time, rate] pair")
+            t = _require_number(pair[0], f"{where}.time")
+            if t <= 0.0:
+                raise ConfigError(f"{where}.time: must be positive")
+            if nodes and t <= nodes[-1][0]:
+                raise ConfigError(f"{where}.time: must exceed the previous node time")
+            nodes.append((t, parse_rate(pair[1], f"{where}.rate")))
+        return tuple(nodes)
+    return parse
+
+
+def _section(cls):
+    return lambda raw, path: _parse_fields(cls, raw, path)
+
+
+def _field(parse, **default):
+    """A config field whose JSON value is checked and converted by parse(value, path)."""
+    return field(metadata={"parse": parse}, **default)
 
 
 @dataclass(frozen=True)
 class BondConfig:
-    coupon: float
-    recovery: float
-    maturity: float
-    frequency: int
+    coupon: float = _field(_require_number)
+    recovery: float = _field(_number_where(lambda r: 0.0 <= r < 1.0, "must lie in [0, 1)"))
+    maturity: float = _field(_positive)
+    frequency: int = _field(_integer)
 
 
 @dataclass(frozen=True)
 class RepoConfig:
-    spread: float = 0.0
-    maturity: float | None = None
-    forward_price: float | None = None  # None means "fair"
+    spread: float = _field(_require_number, default=0.0)
+    maturity: float | None = _field(_positive, default=None)
+    forward_price: float | None = _field(_forward_price, default=None)  # None means "fair"
 
 
 @dataclass(frozen=True)
 class QuotesConfig:
-    cds_bid: float
-    cds_ask: float
-    aswc_bid: float
-    aswc_ask: float
+    cds_bid: float = _field(_require_number)
+    cds_ask: float = _field(_require_number)
+    aswc_bid: float = _field(_require_number)
+    aswc_ask: float = _field(_require_number)
 
 
 @dataclass(frozen=True)
 class MarketConfig:
-    discount_nodes: tuple[tuple[float, float], ...]
-    bond: BondConfig
-    hazard_nodes: tuple[tuple[float, float], ...] | None = None
-    cds_quote: float | None = None
-    repo: RepoConfig = RepoConfig()
-    quotes: QuotesConfig | None = None
+    discount_nodes: tuple[tuple[float, float], ...] = _field(_nodes(_require_number))
+    bond: BondConfig = _field(_section(BondConfig))
+    hazard_nodes: tuple[tuple[float, float], ...] | None = _field(
+        _nodes(_number_where(lambda h: h >= 0.0, "hazard must be non-negative")), default=None
+    )
+    cds_quote: float | None = _field(
+        _number_where(lambda q: q >= 0.0, "must be non-negative"), default=None
+    )
+    repo: RepoConfig = _field(_section(RepoConfig), default=RepoConfig())
+    quotes: QuotesConfig | None = _field(_section(QuotesConfig), default=None)
 
 
-def _require_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ConfigError(f"{field}: must be finite, got {value!r}")
-    return number
+def _parse_fields(cls, raw, path: str = ""):
+    """Build the config dataclass cls from a JSON object, each field by its own parser.
 
-
-def _parse_nodes(raw, field: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{field}: expected a non-empty list of [time, rate] pairs")
-    nodes = []
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"{field}[{i}]: expected a [time, rate] pair")
-        t = _require_number(pair[0], f"{field}[{i}].time")
-        r = _require_number(pair[1], f"{field}[{i}].rate")
-        if t <= 0.0:
-            raise ConfigError(f"{field}[{i}].time: must be positive")
-        nodes.append((t, r))
-    return tuple(nodes)
-
-
-def parse_config(raw: dict) -> MarketConfig:
-    """Validate a raw JSON mapping into a MarketConfig, naming the failing field."""
+    An absent field takes its default; an absent required field goes to its
+    parser as None, so that the error names it.
+    """
     if not isinstance(raw, dict):
-        raise ConfigError("config root: expected a JSON object")
-    known = {"discount_nodes", "hazard_nodes", "cds_quote", "bond", "repo", "quotes"}
+        raise ConfigError(f"{path or 'config root'}: expected an object")
+    declared = {f.name: f for f in fields(cls)}
+    prefix = f"{path}." if path else ""
     for key in raw:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown field")
+        if key not in declared:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    return cls(**{
+        name: f.metadata["parse"](raw.get(name), prefix + name)
+        for name, f in declared.items()
+        if name in raw or f.default is MISSING
+    })
 
-    discount_nodes = _parse_nodes(raw.get("discount_nodes"), "discount_nodes")
 
-    if "bond" not in raw or not isinstance(raw["bond"], dict):
-        raise ConfigError("bond: expected an object with coupon/recovery/maturity/frequency")
-    b = raw["bond"]
-    for key in b:
-        if key not in {"coupon", "recovery", "maturity", "frequency"}:
-            raise ConfigError(f"bond.{key}: unknown field")
-    maturity = _require_number(b.get("maturity"), "bond.maturity")
-    if maturity <= 0.0:
-        raise ConfigError("bond.maturity: must be positive")
-    frequency = b.get("frequency")
-    if not isinstance(frequency, int) or isinstance(frequency, bool):
-        raise ConfigError(f"bond.frequency: expected an integer, got {frequency!r}")
-    recovery = _require_number(b.get("recovery"), "bond.recovery")
-    if not 0.0 <= recovery < 1.0:
-        raise ConfigError("bond.recovery: must lie in [0, 1)")
-    bond = BondConfig(
-        coupon=_require_number(b.get("coupon"), "bond.coupon"),
-        recovery=recovery,
-        maturity=maturity,
-        frequency=frequency,
-    )
-
-    hazard_nodes = None
-    cds_quote = None
-    if ("hazard_nodes" in raw) == ("cds_quote" in raw):
+def parse_config(raw) -> MarketConfig:
+    """Validate a raw JSON mapping into a MarketConfig, naming the failing field."""
+    config = _parse_fields(MarketConfig, raw)
+    if (config.hazard_nodes is None) == (config.cds_quote is None):
         raise ConfigError("exactly one of hazard_nodes or cds_quote must be present")
-    if "hazard_nodes" in raw:
-        hazard_nodes = _parse_nodes(raw["hazard_nodes"], "hazard_nodes")
-        for i, (_, h) in enumerate(hazard_nodes):
-            if h < 0.0:
-                raise ConfigError(f"hazard_nodes[{i}].rate: hazard must be non-negative")
-    else:
-        cds_quote = _require_number(raw["cds_quote"], "cds_quote")
-        if cds_quote < 0.0:
-            raise ConfigError("cds_quote: must be non-negative")
-
-    repo = RepoConfig()
-    if "repo" in raw:
-        if not isinstance(raw["repo"], dict):
-            raise ConfigError("repo: expected an object")
-        r = raw["repo"]
-        for key in r:
-            if key not in {"spread", "maturity", "forward_price"}:
-                raise ConfigError(f"repo.{key}: unknown field")
-        fwd = r.get("forward_price", "fair")
-        if fwd == "fair":
-            forward_price = None
-        else:
-            forward_price = _require_number(fwd, "repo.forward_price")
-            if forward_price <= 0.0:
-                raise ConfigError("repo.forward_price: must be positive")
-        repo_maturity = None
-        if "maturity" in r:
-            repo_maturity = _require_number(r["maturity"], "repo.maturity")
-            if repo_maturity <= 0.0:
-                raise ConfigError("repo.maturity: must be positive")
-        repo = RepoConfig(
-            spread=_require_number(r.get("spread", 0.0), "repo.spread"),
-            maturity=repo_maturity,
-            forward_price=forward_price,
-        )
-
-    quotes = None
-    if "quotes" in raw:
-        if not isinstance(raw["quotes"], dict):
-            raise ConfigError("quotes: expected an object")
-        q = raw["quotes"]
-        for key in q:
-            if key not in {"cds_bid", "cds_ask", "aswc_bid", "aswc_ask"}:
-                raise ConfigError(f"quotes.{key}: unknown field")
-        quotes = QuotesConfig(
-            cds_bid=_require_number(q.get("cds_bid"), "quotes.cds_bid"),
-            cds_ask=_require_number(q.get("cds_ask"), "quotes.cds_ask"),
-            aswc_bid=_require_number(q.get("aswc_bid"), "quotes.aswc_bid"),
-            aswc_ask=_require_number(q.get("aswc_ask"), "quotes.aswc_ask"),
-        )
-
-    return MarketConfig(
-        discount_nodes=discount_nodes,
-        bond=bond,
-        hazard_nodes=hazard_nodes,
-        cds_quote=cds_quote,
-        repo=repo,
-        quotes=quotes,
-    )
+    return config
 
 
 def serialize_config(config: MarketConfig) -> dict:
-    """Inverse of parse_config: parse(serialize(c)) == c."""
-    raw: dict = {
-        "discount_nodes": [[t, r] for t, r in config.discount_nodes],
-        "bond": {
-            "coupon": config.bond.coupon,
-            "recovery": config.bond.recovery,
-            "maturity": config.bond.maturity,
-            "frequency": config.bond.frequency,
-        },
-        "repo": {
-            "spread": config.repo.spread,
-            "forward_price": (
-                "fair" if config.repo.forward_price is None else config.repo.forward_price
-            ),
-        },
-    }
-    if config.repo.maturity is not None:
-        raw["repo"]["maturity"] = config.repo.maturity
-    if config.hazard_nodes is not None:
-        raw["hazard_nodes"] = [[t, h] for t, h in config.hazard_nodes]
-    else:
-        raw["cds_quote"] = config.cds_quote
-    if config.quotes is not None:
-        raw["quotes"] = {
-            "cds_bid": config.quotes.cds_bid,
-            "cds_ask": config.quotes.cds_ask,
-            "aswc_bid": config.quotes.aswc_bid,
-            "aswc_ask": config.quotes.aswc_ask,
-        }
-    return raw
+    """Inverse of parse_config: parse(serialize(c)) == c. Fields that are None are left out."""
+    return asdict(config, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
 def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondSpec]:
@@ -370,7 +300,7 @@ def cmd_calibrate(config: MarketConfig) -> dict:
 def _format_value(key: str, value, bp: bool) -> str:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return str(value)
-    if bp and key in _SPREAD_KEYS:
+    if bp and key.endswith(("_spread", "_hazard")):
         return f"{value * 1e4:.8f} bp"
     return f"{value:.12g}"
 
@@ -446,9 +376,6 @@ def main(argv: list[str] | None = None) -> int:
             payload, code = cmd_implied_repo(config), 0
         else:
             payload, code = cmd_calibrate(config), 0
-    except QuoteUnattainable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ConfigError, CrossedMarket, InconsistentSpecs) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -130,24 +130,7 @@ class ReplicationReport:
     max_abs_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "clause_enabled": self.clause_enabled,
-            "asw_spread": self.asw_spread,
-            "cds_spread": self.cds_spread,
-            "repo_spread": self.repo_spread,
-            "repo_maturity": self.repo_maturity,
-            "forward_price": self.forward_price,
-            "scenarios": [
-                {
-                    "default_bucket": s.default_bucket,
-                    "probability": s.probability,
-                    "residual": s.residual,
-                }
-                for s in self.scenarios
-            ],
-            "expected_residual": self.expected_residual,
-            "max_abs_residual": self.max_abs_residual,
-        }
+        return {**vars(self), "scenarios": [s._asdict() for s in self.scenarios]}
 
 
 class McCheckResult(NamedTuple):

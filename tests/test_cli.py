@@ -130,11 +130,11 @@ class TestConfigValidation:
         assert code == 2
 
     def test_roundtrip_parse_serialize_parse(self):
-        config = parse_config(
-            dict(F1_CONFIG, quotes={"cds_bid": 0.01, "cds_ask": 0.012,
-                                    "aswc_bid": 0.009, "aswc_ask": 0.011})
-        )
-        assert parse_config(serialize_config(config)) == config
+        with_quotes = dict(F1_CONFIG, quotes={"cds_bid": 0.01, "cds_ask": 0.012,
+                                              "aswc_bid": 0.009, "aswc_ask": 0.011})
+        for payload in (with_quotes, *(c for _, c in _price_configs())):
+            config = parse_config(payload)
+            assert parse_config(serialize_config(config)) == config
 
     def test_roundtrip_with_quote_calibration(self):
         payload = {k: v for k, v in F1_CONFIG.items() if k != "hazard_nodes"}
@@ -255,6 +255,15 @@ class TestCalibrate:
         assert code == 3
         assert "quote" in err.lower()
 
+    def test_pretty_bp_scales_target_and_reproduced_spread(self, config_file, capsys):
+        code, out, _ = run_cli(
+            capsys, "--config", config_file(self.base(0.0123)), "--pretty", "--bp", "calibrate"
+        )
+        assert code == 0
+        lines = {line.split()[0]: line for line in out.splitlines()}
+        assert lines["target_cds_spread"].endswith(" bp")
+        assert lines["reproduced_cds_spread"].endswith(" bp")
+
 
 def _with(section, **fields):
     return dict(F1_CONFIG, **{section: dict(F1_CONFIG.get(section, {}), **fields)})
@@ -272,9 +281,12 @@ def _with(section, **fields):
         (dict(F1_CONFIG, discount_nodes=[[5.0, 1e308]]), ("price",), 3),
         (dict(F1_CONFIG, discount_nodes=[[5.0, -300]]), ("price",), 3),
         (_with("bond", coupon=1e308), ("replicate",), 3),
+        (dict(F1_CONFIG, discount_nodes=[[5.0, 0.02], [3.0, 0.01]]), ("price",), 2),
+        (dict(F1_CONFIG, hazard_nodes=[[5.0, 0.02], [5.0, 0.01]]), ("replicate",), 2),
     ],
     ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
-         "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow"],
+         "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
+         "discount-nodes-out-of-order", "hazard-nodes-repeated-time"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
@@ -282,6 +294,33 @@ def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv,
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload,path",
+    [
+        (_with("bond", surprise=1), "bond.surprise"),
+        (_with("repo", surprise=1), "repo.surprise"),
+        (_with("quotes", **TestImpliedRepo.QUOTES, surprise=1), "quotes.surprise"),
+        (dict(F1_CONFIG, bond=[0.05, 0.4, 5.0, 1]), "bond"),
+        (dict(F1_CONFIG, repo=0.001), "repo"),
+        (dict(F1_CONFIG, quotes="none"), "quotes"),
+        ([F1_CONFIG], "config root"),
+        (dict(F1_CONFIG, quotes={k: v for k, v in TestImpliedRepo.QUOTES.items()
+                                 if k != "cds_ask"}), "quotes.cds_ask"),
+        (_with("repo", maturity=0.0), "repo.maturity"),
+        (_with("repo", forward_price="FAIR"), "repo.forward_price"),
+        (dict(F1_CONFIG, discount_nodes=[[5.0, 0.02], [3.0, 0.01]]), "discount_nodes[1].time"),
+    ],
+    ids=["bond-unknown", "repo-unknown", "quotes-unknown", "bond-not-object", "repo-not-object",
+         "quotes-not-object", "root-not-object", "quotes-missing-cds-ask", "repo-maturity-zero",
+         "repo-forward-price-FAIR", "discount-nodes-out-of-order"],
+)
+def test_single_fault_config_names_its_path(config_file, capsys, payload, path):
+    code, out, err = run_cli(capsys, "--config", config_file(payload), "price")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
 
 def test_nan_residual_exits_4(config_file, capsys, monkeypatch):
