@@ -4,8 +4,9 @@ Subcommands: price, replicate, implied-repo, calibrate. All rates, spreads,
 and hazards are decimals per year; all times are year fractions from t0 = 0.
 
 Exit codes: 0 success (and, for `replicate` with the clause on, residuals
-within tolerance); 2 validation error; 3 numerical failure (an overflow
-included); 4 replication residual above tolerance.
+within tolerance); 2 validation error; 3 numerical failure (an overflow or
+a result that is not a finite number included); 4 replication residual above
+tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import repeat
 
-from .curves import DiscountCurve, SurvivalCurve, _grid, calibrate_flat_hazard
+from .curves import (
+    DiscountCurve,
+    SurvivalCurve,
+    _calibrate_flat_hazard,
+    _grid,
+    calibrate_flat_hazard,
+)
 from .errors import ConfigError, CrossedMarket, InconsistentSpecs, PricingError
 from .pricers import (
     BondSpec,
@@ -32,7 +39,6 @@ from .pricers import (
     _risky_bond,
     _riskless,
     implied_repo_spreads,
-    par_cds_spread,
 )
 
 # cmd_price prices on one grid through the private helpers above; these public
@@ -46,6 +52,7 @@ from .pricers import (  # noqa: F401
     par_asw_spread,
     par_cancelable_asw_spread,
     par_cancelable_asw_spread_generalized,
+    par_cds_spread,
     price_riskfree_bond,
     price_risky_bond,
     price_risky_floater,
@@ -188,12 +195,17 @@ def serialize_config(config: MarketConfig) -> dict:
     return asdict(config, dict_factory=lambda items: {k: v for k, v in items if v is not None})
 
 
-def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondSpec]:
+def _discount_and_schedule(config: MarketConfig) -> tuple[DiscountCurve, Schedule]:
     schedule = build_schedule(0.0, config.bond.maturity, config.bond.frequency)
     discount = DiscountCurve(
         node_times=tuple(t for t, _ in config.discount_nodes),
         fwd_rates=tuple(r for _, r in config.discount_nodes),
     )
+    return discount, schedule
+
+
+def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondSpec]:
+    discount, schedule = _discount_and_schedule(config)
     if config.hazard_nodes is not None:
         survival = SurvivalCurve(
             node_times=tuple(t for t, _ in config.hazard_nodes),
@@ -284,16 +296,17 @@ def cmd_implied_repo(config: MarketConfig) -> dict:
 
 
 def cmd_calibrate(config: MarketConfig) -> dict:
-    """Flat hazard fitted to the configured CDS quote, and the reproduced spread."""
+    """Flat hazard fitted to the configured CDS quote, the spread it reproduces, and how."""
     if config.cds_quote is None:
         raise ConfigError("cds_quote: required for calibrate")
-    discount, survival, schedule, bond = _build_market(config)
-    reproduced = par_cds_spread(discount, survival, schedule, bond.recovery).spread
+    discount, schedule = _discount_and_schedule(config)
+    fit = _calibrate_flat_hazard(discount, schedule, config.cds_quote, config.bond.recovery)
     return {
-        "calibrated_hazard": survival.hazards[0],
+        "calibrated_hazard": fit.curve.hazards[0],
         "target_cds_spread": config.cds_quote,
-        "reproduced_cds_spread": reproduced,
-        "residual": reproduced - config.cds_quote,
+        "reproduced_cds_spread": fit.spread,
+        "residual_spread": fit.spread - config.cds_quote,
+        "iterations": fit.iterations,
     }
 
 
@@ -318,11 +331,34 @@ def _print_pretty(payload: dict, bp: bool) -> None:
             print(f"{bucket:>14}  {row['probability']:>22.12g}  {row['residual']:>22.12g}")
 
 
-def _emit(payload: dict, pretty: bool, bp: bool) -> None:
+def _non_finite_key(value, path: str = "") -> str | None:
+    """Path of the first number in a payload that is NaN or infinite, or None."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return path if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_non_finite_key(v, key) for key, v in items)), None)
+
+
+def _emit(payload: dict, pretty: bool, bp: bool, code: int) -> int:
+    """Print the payload and return the exit code.
+
+    NaN and infinity are not JSON, so a payload holding one prints a single
+    error line naming its key instead, and exits 3 (or keeps the 4 of a
+    replication gate that has already failed).
+    """
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        print(f"error: {_non_finite_key(payload)}: not a finite number", file=sys.stderr)
+        return code or 3
     if pretty:
         _print_pretty(dict(payload), bp)
     else:
-        print(json.dumps(payload, indent=2))
+        print(text)
+    return code
 
 
 def _load_config(path: str) -> MarketConfig:
@@ -385,8 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 3
-    _emit(payload, args.pretty, args.bp)
-    return code
+    return _emit(payload, args.pretty, args.bp, code)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateAnnuity, InvalidInterval, QuoteUnattainable, TimeBeforeAnchor
@@ -191,47 +193,79 @@ def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float,
     return tuple(_grid(discount, None, schedule).eps)
 
 
+class _Fit(NamedTuple):
+    """A calibrated flat hazard curve, the par spread it reproduces and the points it took."""
+
+    curve: SurvivalCurve
+    spread: float
+    iterations: int
+
+
+def _calibrate_flat_hazard(
+    discount: DiscountCurve,
+    schedule: Schedule,
+    cds_quote: float,
+    recovery: float,
+) -> _Fit:
+    """Flat hazard rate that reproduces the given par credit spread, and how the fit went.
+
+    Newton's method on the hazard h, safeguarded by a bracket (`rtsafe`, Numerical
+    Recipes 9.4). The par spread s(h) = LGD * D(h) / A(h) is strictly increasing
+    in h, so [0, 10] brackets every attainable quote and the check at h = 10 is
+    the attainability test. The first guess is quote / LGD. Each point evaluates
+    s and its slope on the Q of the curve it returns, with dQ_k/dh = -(t_k - t0) Q_k;
+    a step that leaves the current bracket, or a slope that is not finite and
+    positive, falls back to the bracket's midpoint. Stops when |s(h) - quote|
+    is below 1e-12 (capped at 200 points) and returns the last point evaluated;
+    `iterations` counts the points after the check at h = 10.
+    """
+    from .pricers import _par_cds
+
+    if not cds_quote >= 0.0:
+        raise ValueError("cds quote must be non-negative")
+    if not 0.0 <= recovery < 1.0:
+        raise ValueError("recovery must lie in [0, 1)")
+    lgd = 1.0 - recovery
+    grid = _grid(discount, None, schedule)
+    times = [schedule.t0, *schedule.dates]
+    # With tau_k = t_k - t0 and dQ_k/dh = -tau_k Q_k, the slopes of the default
+    # leg D = sum of P_{k-1} (Q_{k-1} - Q_k) and of the annuity A are fixed
+    # weights dotted with Q: dD/dh = sum of default_w_k Q_k, dA/dh = -sum of annuity_w_k Q_k.
+    tau = [t - discount.t0 for t in times]
+    default_w = [t * (p0 - p1) for t, p0, p1 in zip(tau, [0.0, *grid.p], [*grid.p[:-1], 0.0])]
+    annuity_w = [0.0, *(th * p * t for th, p, t in zip(grid.theta, grid.p[1:], tau[1:]))]
+
+    def evaluate(hazard: float) -> tuple[SurvivalCurve, float, float]:
+        """The curve at this hazard, its par spread s and ds/dh = (LGD dD/dh - s dA/dh) / A."""
+        curve = SurvivalCurve.flat(hazard, t0=discount.t0)
+        q = _exp_integrals(curve.t0, curve.node_times, curve.hazards, times)
+        par = _par_cds(grid._replace(q=q), recovery)
+        slope = lgd * fsum(map(mul, default_w, q)) + par.spread * fsum(map(mul, annuity_w, q))
+        return curve, par.spread, slope / par.annuity
+
+    lo, hi = _HAZARD_BRACKET
+    if evaluate(hi)[1] - cds_quote < 0.0:
+        raise QuoteUnattainable(f"quote {cds_quote} exceeds the spread attainable at hazard {hi}")
+    hazard = min(max(cds_quote / lgd, lo), hi)
+    for iterations in range(1, _CALIBRATION_MAX_ITER + 1):
+        curve, spread, slope = evaluate(hazard)
+        residual = spread - cds_quote
+        if abs(residual) < _CALIBRATION_TOL:
+            break
+        if residual < 0.0:
+            lo = hazard
+        else:
+            hi = hazard
+        step = hazard - residual / slope if math.isfinite(slope) and slope > 0.0 else math.nan
+        hazard = step if lo < step < hi else 0.5 * (lo + hi)
+    return _Fit(curve, spread, iterations)
+
+
 def calibrate_flat_hazard(
     discount: DiscountCurve,
     schedule: Schedule,
     cds_quote: float,
     recovery: float,
 ) -> SurvivalCurve:
-    """Flat hazard rate that reproduces the given par credit spread.
-
-    Bisection on the bracket [0, 10]; the par spread is strictly increasing
-    in the hazard, so the first bracket check is also the attainability test.
-    Stops when the spread residual is below 1e-12 (capped at 200 iterations).
-    The discount factors are computed once; each step recomputes only Q.
-    """
-    from .pricers import _par_cds
-
-    if cds_quote < 0.0:
-        raise ValueError("cds quote must be non-negative")
-    if not 0.0 <= recovery < 1.0:
-        raise ValueError("recovery must lie in [0, 1)")
-    if cds_quote == 0.0:
-        return SurvivalCurve.flat(0.0, t0=discount.t0)
-
-    grid = _grid(discount, None, schedule)
-    times = [schedule.t0, *schedule.dates]
-
-    def residual(hazard: float) -> float:
-        curve = SurvivalCurve.flat(hazard, t0=discount.t0)
-        q = _exp_integrals(curve.t0, curve.node_times, curve.hazards, times)
-        return _par_cds(grid._replace(q=q), recovery).spread - cds_quote
-
-    lo, hi = _HAZARD_BRACKET
-    if residual(hi) < 0.0:
-        raise QuoteUnattainable(f"quote {cds_quote} exceeds the spread attainable at hazard {hi}")
-    mid = hi
-    for _ in range(_CALIBRATION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        res = residual(mid)
-        if abs(res) < _CALIBRATION_TOL:
-            break
-        if res < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return SurvivalCurve.flat(mid, t0=discount.t0)
+    """Flat hazard rate that reproduces the given par credit spread (see _calibrate_flat_hazard)."""
+    return _calibrate_flat_hazard(discount, schedule, cds_quote, recovery).curve

@@ -37,6 +37,10 @@ class DegenerateAnnuity(PricingError):
     """Annuity is zero or negative; par spread is undefined."""
 
 
+class NonFiniteResult(PricingError):
+    """A par spread or a price overflowed to infinity or came out NaN."""
+
+
 class CrossedMarket(PricingError):
     """A bid quote exceeds its ask."""
 

@@ -24,7 +24,7 @@ from math import fsum
 from typing import Iterable, NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid
-from .errors import CrossedMarket, DegenerateAnnuity
+from .errors import CrossedMarket, DegenerateAnnuity, NonFiniteResult
 from .schedule import Schedule
 
 
@@ -92,11 +92,19 @@ class ImpliedRepoSpreads(NamedTuple):
     reverse_repo: float
 
 
+def _finite(what: str, value: float) -> float:
+    """value itself, or NonFiniteResult naming what overflowed or came out NaN."""
+    if not math.isfinite(value):
+        raise NonFiniteResult(f"{what} is {value}, not a finite number")
+    return value
+
+
 def _par(numerator: float, annuity: float) -> SpreadResult:
-    """The one annuity guard: every par spread is numerator / annuity."""
+    """The one annuity guard: every par spread is numerator / annuity, finite."""
     if not annuity > 0.0:
         raise DegenerateAnnuity(f"annuity {annuity} is not positive")
-    return SpreadResult(spread=numerator / annuity, numerator=numerator, annuity=annuity)
+    spread = _finite("par spread", numerator / annuity)
+    return SpreadResult(spread=spread, numerator=numerator, annuity=annuity)
 
 
 def _annuity(g: _Grid) -> float:

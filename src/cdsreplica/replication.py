@@ -39,6 +39,7 @@ from .errors import ConfigError, InconsistentSpecs
 from .pricers import (
     BondSpec,
     RepoSpec,
+    _finite,
     _forward_bond,
     _mtm_values,
     _par_asw,
@@ -200,11 +201,11 @@ def _prepare_inputs(
         repo_spread=repo.spread,
         last_period=idx + 1,
         fwd_price=fwd_price,
-        terminal_price=fair,
-        bond_price=_risky_bond(g, bond),
+        terminal_price=_finite("forward bond price", fair),
+        bond_price=_finite("bond price", _risky_bond(g, bond)),
         mtm_values=None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread),
-        asw_spread=asw_spread,
-        cds_spread=cds_spread,
+        asw_spread=_finite("asw spread", asw_spread),
+        cds_spread=_finite("cds spread", cds_spread),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -263,6 +264,18 @@ class TestCalibrate:
         lines = {line.split()[0]: line for line in out.splitlines()}
         assert lines["target_cds_spread"].endswith(" bp")
         assert lines["reproduced_cds_spread"].endswith(" bp")
+        assert lines["residual_spread"].endswith(" bp")
+
+    def test_reports_the_fit_it_priced(self, config_file, capsys):
+        code, out, _ = run_cli(capsys, "--config", config_file(self.base(0.0123)), "calibrate")
+        assert code == 0
+        report = json.loads(out)
+        fitted = SurvivalCurve.flat(report["calibrated_hazard"])
+        schedule = build_schedule(0.0, 5.0, 1)
+        spread = par_cds_spread(DiscountCurve.flat(0.02), fitted, schedule, 0.4).spread
+        assert report["reproduced_cds_spread"] == spread
+        assert report["residual_spread"] == spread - 0.0123
+        assert isinstance(report["iterations"], int) and 1 <= report["iterations"] <= 20
 
 
 def _with(section, **fields):
@@ -283,10 +296,13 @@ def _with(section, **fields):
         (_with("bond", coupon=1e308), ("replicate",), 3),
         (dict(F1_CONFIG, discount_nodes=[[5.0, 0.02], [3.0, 0.01]]), ("price",), 2),
         (dict(F1_CONFIG, hazard_nodes=[[5.0, 0.02], [5.0, 0.01]]), ("replicate",), 2),
+        (_with("bond", coupon=1e300) | {"discount_nodes": [[5.0, -100.0]]}, ("price",), 3),
+        (_with("bond", coupon=1e300) | {"discount_nodes": [[5.0, -100.0]]}, ("replicate",), 3),
     ],
     ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
          "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
-         "discount-nodes-out-of-order", "hazard-nodes-repeated-time"],
+         "discount-nodes-out-of-order", "hazard-nodes-repeated-time", "non-finite-price",
+         "non-finite-replicate"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
@@ -335,6 +351,18 @@ def test_nan_residual_exits_4(config_file, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "replication_report", poisoned)
     code, _, _ = run_cli(capsys, "--config", config_file(F1_CONFIG), "replicate")
     assert code == 4
+
+
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+def test_non_finite_output_names_its_key(config_file, capsys, monkeypatch, pretty):
+    import cdsreplica.cli as cli_module
+
+    real = cli_module.cmd_price
+    monkeypatch.setattr(cli_module, "cmd_price", lambda c: {**real(c), "risky_bond_price": math.inf})
+    code, out, err = run_cli(capsys, "--config", config_file(F1_CONFIG), *pretty, "price")
+    assert code == 3
+    assert out == ""
+    assert err == "error: risky_bond_price: not a finite number\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():

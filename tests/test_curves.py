@@ -17,6 +17,8 @@ from cdsreplica import (
     forward_fixings,
     par_cds_spread,
 )
+from cdsreplica import curves
+from cdsreplica.curves import _calibrate_flat_hazard
 from markets import random_discount, random_survival
 
 
@@ -210,3 +212,65 @@ class TestCalibration:
         schedule = build_schedule(0.0, 5.0, 1)
         with pytest.raises(ValueError):
             calibrate_flat_hazard(discount, schedule, -0.01, 0.4)
+
+
+# Worst point count measured over 9,000 random markets in these ranges (1-4-node
+# discount curves, h log-uniform and uniform on [1e-6, 9]): 14, where bisection
+# on [0, 10] took a median of 41-42 and at most 54. The bound leaves a margin of 6.
+NEWTON_MAX_POINTS = 20
+
+
+@st.composite
+def calibration_markets(draw):
+    frequency = draw(st.sampled_from((1, 2, 4, 12)))
+    periods = draw(st.integers(1, 360))
+    maturity = periods / frequency
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    times = [maturity * 1.2 * sum(gaps[: i + 1]) / sum(gaps) for i in range(len(gaps))]
+    rates = draw(st.lists(st.floats(-0.02, 0.10), min_size=len(times), max_size=len(times)))
+    hazard = draw(st.floats(1e-6, 9.0))
+    recovery = draw(st.floats(0.0, 0.95))
+    discount = DiscountCurve(tuple(times), tuple(rates))
+    return discount, build_schedule(0.0, maturity, frequency), hazard, recovery
+
+
+class TestNewtonCalibration:
+    @given(market=calibration_markets())
+    @settings(max_examples=150, deadline=None)
+    def test_reproduces_the_quote_in_few_points(self, market):
+        discount, schedule, hazard, recovery = market
+        quote = par_cds_spread(discount, SurvivalCurve.flat(hazard), schedule, recovery).spread
+        fit = _calibrate_flat_hazard(discount, schedule, quote, recovery)
+        assert abs(fit.spread - quote) < 1e-12
+        assert fit.iterations <= NEWTON_MAX_POINTS
+        assert fit.curve == calibrate_flat_hazard(discount, schedule, quote, recovery)
+
+    def test_reported_spread_is_the_pricers_spread_exactly(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            schedule = build_schedule(0.0, rng.randint(1, 40) / 4, 4)
+            discount = random_discount(rng, schedule.maturity)
+            recovery = rng.uniform(0.0, 0.9)
+            fit = _calibrate_flat_hazard(discount, schedule, rng.uniform(1e-4, 0.05), recovery)
+            assert fit.spread == par_cds_spread(discount, fit.curve, schedule, recovery).spread
+
+    @pytest.mark.parametrize("slope", [math.nan, 0.0, -1.0, math.inf])
+    def test_unusable_slope_falls_back_to_the_midpoint(self, monkeypatch, slope):
+        # both slope sums go through curves.fsum; a constant makes every step unusable
+        monkeypatch.setattr(curves, "fsum", lambda values: slope)
+        discount = DiscountCurve.flat(0.02)
+        schedule = build_schedule(0.0, 5.0, 4)
+        quote = par_cds_spread(discount, SurvivalCurve.flat(0.03), schedule, 0.4).spread
+        fit = _calibrate_flat_hazard(discount, schedule, quote, 0.4)
+        assert abs(fit.spread - quote) < 1e-12
+        assert NEWTON_MAX_POINTS < fit.iterations < 200  # the bisection's count, not Newton's
+
+    def test_zero_quote_stops_at_its_first_point(self):
+        schedule = build_schedule(0.0, 5.0, 1)
+        fit = _calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, 0.0, 0.4)
+        assert fit == (SurvivalCurve.flat(0.0), 0.0, 1)
+
+    def test_nan_quote_rejected(self):
+        schedule = build_schedule(0.0, 5.0, 1)
+        with pytest.raises(ValueError):
+            calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, math.nan, 0.4)
