@@ -31,11 +31,11 @@ from .pricers import (
     RepoSpec,
     _annuity,
     _early_termination,
-    _forward_bond,
     _note,
     _par_asw,
     _par_cancelable,
     _par_cds,
+    _repo_on_grid,
     _risky_bond,
     _riskless,
     implied_repo_spreads,
@@ -244,16 +244,11 @@ def cmd_price(config: MarketConfig) -> dict:
         "cancelable_asw_par_spread": _par_cancelable(g, bond, schedule.n_periods, 1.0).spread,
         "early_termination_pv": _early_termination(g, bond.coupon, s_asw),
     }
-    repo_maturity = config.repo.maturity
-    if repo_maturity is not None and repo_maturity < schedule.maturity - 1e-9:
-        idx = schedule.index_at(repo_maturity)
-        fair = _forward_bond(g, bond, idx)
-        forward_price = config.repo.forward_price
-        if forward_price is None:
-            forward_price = fair
+    last, fair, forward_price = _repo_on_grid(g, schedule, bond, _repo_spec(config))
+    if last < schedule.n_periods:
         report["forward_bond_price"] = fair
         report["generalized_cancelable_asw_par_spread"] = (
-            _par_cancelable(g, bond, idx + 1, forward_price).spread
+            _par_cancelable(g, bond, last, forward_price).spread
         )
     return report
 

@@ -24,8 +24,10 @@ from math import fsum
 from typing import Iterable, NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid
-from .errors import CrossedMarket, DegenerateAnnuity, NonFiniteResult
+from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
 from .schedule import Schedule
+
+_FORWARD_PRICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,26 @@ def _forward_bond(g: _Grid, bond: BondSpec, idx: int) -> float:
     if idx == len(g.theta) - 1:
         return 1.0
     return _risky_bond(g.window(idx + 1, len(g.theta)), bond) / (g.p[idx + 1] * g.q[idx + 1])
+
+
+def _repo_on_grid(
+    g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec
+) -> tuple[int, float, float]:
+    """The repo resolved onto the grid: (L, fair, X).
+
+    L is the number of periods the repo runs, fair the forward bond price at
+    t_L and X the repurchase price, fair unless the repo sets it. A repo to
+    the bond's maturity repurchases at par; X must be positive.
+    """
+    maturity = schedule.maturity if repo.maturity is None else repo.maturity
+    idx = schedule.index_at(maturity)
+    fair = _forward_bond(g, bond, idx)
+    forward_price = fair if repo.forward_price is None else repo.forward_price
+    if idx == schedule.n_periods - 1 and abs(forward_price - 1.0) > _FORWARD_PRICE_TOL:
+        raise InconsistentSpecs(f"repo to maturity must use forward price 1, got {forward_price}")
+    if forward_price <= 0.0:
+        raise InconsistentSpecs(f"forward price must be positive, got {forward_price}")
+    return idx + 1, fair, forward_price
 
 
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:

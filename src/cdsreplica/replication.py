@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import fsum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .curves import (
     DefaultDistribution,
@@ -35,20 +36,18 @@ from .curves import (
     _grid,
     default_distribution,
 )
-from .errors import ConfigError, InconsistentSpecs
+from .errors import ConfigError, InconsistentSpecs, NonFiniteResult
 from .pricers import (
     BondSpec,
     RepoSpec,
     _finite,
-    _forward_bond,
     _mtm_values,
     _par_asw,
     _par_cancelable,
+    _repo_on_grid,
     _risky_bond,
 )
 from .schedule import Schedule
-
-_FORWARD_PRICE_TOL = 1e-9
 
 
 class Leg(Enum):
@@ -71,10 +70,6 @@ class DefaultScenario:
     default_bucket: int | None
     probability: float
 
-    @property
-    def is_default(self) -> bool:
-        return self.default_bucket is not None
-
 
 @dataclass(frozen=True)
 class CashflowLedger:
@@ -93,12 +88,24 @@ class CashflowLedger:
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
         dfs = {t: discount.discount_factor(t) for t in {e.time for e in self.entries}}
-        return _residual([_term(e.leg, e.amount, dfs[e.time]) for e in self.entries])
+        terms = [_term(e.leg, e.amount, dfs[e.time]) for e in self.entries]
+        _check_finite([terms], ((e.leg, f"t = {e.time}") for e in self.entries))
+        return _residual(terms)
 
 
 def _term(leg: Leg, amount: float, df: float) -> float:
     """One row's discounted share of the residual: the CDS counts against the portfolio."""
     return (-amount if leg is Leg.CDS else amount) * df
+
+
+def _check_finite(groups: list[list[float]], labels: Iterable[tuple[Leg, str]]) -> None:
+    """NonFiniteResult naming the (leg, date) label of the first term of groups that is not
+    finite: one C-level pass when all are, and labels is read only on failure."""
+    if not all(map(math.isfinite, chain.from_iterable(groups))):
+        leg, date = next(label for label, term in zip(labels, chain.from_iterable(groups))
+                         if not math.isfinite(term))
+        name = leg.value.replace("_", " ")
+        raise NonFiniteResult(f"discounted {name} cashflow at {date} is not a finite number")
 
 
 def _residual(terms: list[float]) -> float:
@@ -153,62 +160,6 @@ def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[Def
     return _scenarios(default_distribution(survival, schedule))
 
 
-@dataclass(frozen=True)
-class _LedgerInputs:
-    """The deal terms resolved onto the grid: what the cashflow table needs beyond it."""
-
-    repo_spread: float
-    last_period: int  # 1-based count of periods the portfolio runs
-    fwd_price: float
-    terminal_price: float  # bond value at unwind on survival
-    bond_price: float
-    mtm_values: list[float] | None  # close-outs, only without the clause
-    asw_spread: float
-    cds_spread: float
-
-
-def _prepare_inputs(
-    g: _Grid,
-    schedule: Schedule,
-    bond: BondSpec,
-    repo: RepoSpec,
-    clause_enabled: bool,
-    spreads: tuple[float, float] | None = None,
-) -> _LedgerInputs:
-    """Resolve the repo onto the grid and gather the ledger's inputs.
-
-    spreads is (asw, cds); None means the par spread of the swap actually
-    traded, with the CDS at that spread plus the repo spread.
-    """
-    maturity = schedule.maturity if repo.maturity is None else repo.maturity
-    idx = schedule.index_at(maturity)
-    fair = _forward_bond(g, bond, idx)
-    fwd_price = fair if repo.forward_price is None else repo.forward_price
-    at_bond_maturity = idx == schedule.n_periods - 1
-    if at_bond_maturity and abs(fwd_price - 1.0) > _FORWARD_PRICE_TOL:
-        raise InconsistentSpecs(f"repo to maturity must use forward price 1, got {fwd_price}")
-    if fwd_price <= 0.0:
-        raise InconsistentSpecs(f"forward price must be positive, got {fwd_price}")
-    if not clause_enabled and not at_bond_maturity:
-        raise InconsistentSpecs(
-            "close-out at default (no clause) is only defined for a repo to maturity"
-        )
-    if spreads is None:
-        par = _par_cancelable(g, bond, idx + 1, fwd_price) if clause_enabled else _par_asw(g, bond)
-        spreads = par.spread, par.spread + repo.spread
-    asw_spread, cds_spread = spreads
-    return _LedgerInputs(
-        repo_spread=repo.spread,
-        last_period=idx + 1,
-        fwd_price=fwd_price,
-        terminal_price=_finite("forward bond price", fair),
-        bond_price=_finite("bond price", _risky_bond(g, bond)),
-        mtm_values=None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread),
-        asw_spread=_finite("asw spread", asw_spread),
-        cds_spread=_finite("cds spread", cds_spread),
-    )
-
-
 _OPENING_ROWS = 3
 _PERIOD_ROWS = 4
 
@@ -238,6 +189,9 @@ class _CashflowTable(NamedTuple):
     p: list[float]  # P at the same times
     body: list[_Row]
     settlements: list[list[_Row]]
+    forward_price: float  # the deal the rows book: X and the two spreads
+    asw_spread: float
+    cds_spread: float
 
     def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
         """Survival, or a default after the unwind, sees the whole body; a default
@@ -253,18 +207,21 @@ class _CashflowTable(NamedTuple):
     def residuals(self) -> list[float]:
         """Residuals of default buckets 1..L, then of survival, over the terms of their entries.
 
-        Each row is discounted once. The scenarios share the opening and the
+        Each row is discounted once, and a discounted row that is not finite
+        raises NonFiniteResult. The scenarios share the opening and the
         periods survived, so that prefix is carried forward as its
         _exact_parts: each residual is one fsum over O(1) values, equal bit
         for bit to the fsum over its whole slice, because fsum is correctly
         rounded.
         """
         body = self._terms(self.body)
+        settlements = [self._terms(rows) for rows in self.settlements]
+        rows = chain(self.body, *self.settlements)
+        _check_finite([body, *settlements], ((leg, f"t_{k}") for k, leg, _ in rows))
         prefix = _exact_parts(body[:_OPENING_ROWS])
         residuals = []
-        for start, settlement in zip(range(_OPENING_ROWS, len(body), _PERIOD_ROWS),
-                                     self.settlements):
-            residuals.append(_residual(prefix + self._terms(settlement)))
+        for start, settlement in zip(range(_OPENING_ROWS, len(body), _PERIOD_ROWS), settlements):
+            residuals.append(_residual(prefix + settlement))
             prefix = _exact_parts(prefix + body[start : start + _PERIOD_ROWS])
         unwind = body[_OPENING_ROWS + _PERIOD_ROWS * len(self.settlements) :]
         residuals.append(_residual(prefix + unwind))
@@ -272,31 +229,50 @@ class _CashflowTable(NamedTuple):
 
 
 def _cashflow_table(
-    g: _Grid, schedule: Schedule, bond: BondSpec, inputs: _LedgerInputs
+    g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool,
+    spreads: tuple[float, float] | None = None,
 ) -> _CashflowTable:
-    """The O(L) rows behind all N + 1 scenario ledgers."""
-    last = inputs.last_period
+    """The O(L) rows behind all N + 1 scenario ledgers, for the repo resolved onto the grid.
+
+    spreads is (asw, cds); None means the par spread of the swap actually
+    traded, with the CDS at that spread plus the repo spread.
+    """
+    last, fair, fwd_price = _repo_on_grid(g, schedule, bond, repo)
+    if not clause_enabled and last < schedule.n_periods:
+        raise InconsistentSpecs(
+            "close-out at default (no clause) is only defined for a repo to maturity"
+        )
+    if spreads is None:
+        par = _par_cancelable(g, bond, last, fwd_price) if clause_enabled else _par_asw(g, bond)
+        spreads = par.spread, par.spread + repo.spread
+    asw_spread, cds_spread = spreads
+    terminal_price = _finite("forward bond price", fair)
+    bond_price = _finite("bond price", _risky_bond(g, bond))
+    mtm_values = None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread)
+    asw_spread = _finite("asw spread", asw_spread)
+    cds_spread = _finite("cds spread", cds_spread)
     body: list[_Row] = [
-        (0, Leg.BOND, -inputs.bond_price),
-        (0, Leg.REPO, inputs.fwd_price),
-        (0, Leg.ASSET_SWAP, inputs.bond_price - inputs.fwd_price),
+        (0, Leg.BOND, -bond_price),
+        (0, Leg.REPO, fwd_price),
+        (0, Leg.ASSET_SWAP, bond_price - fwd_price),
     ]
     settlements: list[list[_Row]] = []
     for k, theta, e in zip(range(1, last + 1), g.theta, g.eps):
         body += [
             (k, Leg.BOND, bond.coupon * theta),
-            (k, Leg.REPO, (-e + inputs.repo_spread) * theta),
-            (k, Leg.ASSET_SWAP, (-bond.coupon + e + inputs.asw_spread) * theta),
-            (k, Leg.CDS, inputs.cds_spread * theta),
+            (k, Leg.REPO, (-e + repo.spread) * theta),
+            (k, Leg.ASSET_SWAP, (-bond.coupon + e + asw_spread) * theta),
+            (k, Leg.CDS, cds_spread * theta),
         ]
         rolled = 1.0 + e * theta
         settlement = [(k, Leg.BOND, bond.recovery * rolled), (k, Leg.REPO, -rolled)]
-        if inputs.mtm_values is not None:
-            settlement.append((k, Leg.ASSET_SWAP, inputs.mtm_values[k - 1]))
+        if mtm_values is not None:
+            settlement.append((k, Leg.ASSET_SWAP, mtm_values[k - 1]))
         settlement.append((k, Leg.CDS, -bond.lgd * rolled))
         settlements.append(settlement)
-    body += [(last, Leg.BOND, inputs.terminal_price), (last, Leg.REPO, -inputs.fwd_price)]
-    return _CashflowTable((schedule.t0, *schedule.dates), g.p, body, settlements)
+    body += [(last, Leg.BOND, terminal_price), (last, Leg.REPO, -fwd_price)]
+    times = (schedule.t0, *schedule.dates)
+    return _CashflowTable(times, g.p, body, settlements, fwd_price, asw_spread, cds_spread)
 
 
 def portfolio_ledger(
@@ -316,8 +292,7 @@ def portfolio_ledger(
     maturity never touches the (already unwound) portfolio.
     """
     g = _grid(discount, survival, schedule)
-    inputs = _prepare_inputs(g, schedule, bond, repo, clause_enabled, (asw_spread, cds_spread))
-    table = _cashflow_table(g, schedule, bond, inputs)
+    table = _cashflow_table(g, schedule, bond, repo, clause_enabled, (asw_spread, cds_spread))
     return CashflowLedger(entries=table.entries(scenario.default_bucket))
 
 
@@ -342,9 +317,9 @@ def replication_report(
     survival ledger.
     """
     g = _grid(discount, survival, schedule)
-    inputs = _prepare_inputs(g, schedule, bond, repo, clause_enabled)
-    residuals = _cashflow_table(g, schedule, bond, inputs).residuals()
-    residuals += residuals[-1:] * (schedule.n_periods - inputs.last_period)
+    table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
+    residuals = table.residuals()
+    residuals += residuals[-1:] * (schedule.n_periods + 1 - len(residuals))
     rows = [
         ScenarioResidual(scenario.default_bucket, scenario.probability, residual)
         for scenario, residual in zip(_scenarios(_distribution(g.q)), residuals)
@@ -353,11 +328,11 @@ def replication_report(
     abs_residuals = [abs(r.residual) for r in rows]
     return ReplicationReport(
         clause_enabled=clause_enabled,
-        asw_spread=inputs.asw_spread,
-        cds_spread=inputs.cds_spread,
+        asw_spread=table.asw_spread,
+        cds_spread=table.cds_spread,
         repo_spread=repo.spread,
-        repo_maturity=schedule.dates[inputs.last_period - 1],
-        forward_price=inputs.fwd_price,
+        repo_maturity=schedule.dates[len(table.settlements) - 1],
+        forward_price=table.forward_price,
         scenarios=tuple(rows),
         expected_residual=expected,
         max_abs_residual=(

@@ -50,10 +50,10 @@ class Schedule:
     def maturity(self) -> float:
         return self.dates[-1]
 
-    def index_at(self, t: float, tol: float = _GRID_TOL) -> int:
-        """0-based index of the payment date equal to t (within tol)."""
+    def index_at(self, t: float) -> int:
+        """0-based index of the payment date equal to t (within 1e-9)."""
         for i, date in enumerate(self.dates):
-            if abs(date - t) <= tol:
+            if abs(date - t) <= _GRID_TOL:
                 return i
         raise MaturityNotOnGrid(f"time {t} is not a payment date of the schedule")
 

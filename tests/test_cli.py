@@ -298,11 +298,20 @@ def _with(section, **fields):
         (dict(F1_CONFIG, hazard_nodes=[[5.0, 0.02], [5.0, 0.01]]), ("replicate",), 2),
         (_with("bond", coupon=1e300) | {"discount_nodes": [[5.0, -100.0]]}, ("price",), 3),
         (_with("bond", coupon=1e300) | {"discount_nodes": [[5.0, -100.0]]}, ("replicate",), 3),
+        (_with("repo", maturity=7.0), ("replicate",), 2),
+        (_with("repo", maturity=7.0), ("price",), 2),
+        (_with("repo", forward_price=0.9), ("replicate",), 2),
+        (_with("repo", forward_price=0.9), ("price",), 2),
+        (_with("repo", spread=1e300) | {"discount_nodes": [[5.0, -100.0]]}, ("replicate",), 3),
+        (_with("repo", spread=1e300) | {"discount_nodes": [[5.0, -100.0]]},
+         ("replicate", "--no-clause"), 3),
     ],
     ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
          "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
          "discount-nodes-out-of-order", "hazard-nodes-repeated-time", "non-finite-price",
-         "non-finite-replicate"],
+         "non-finite-replicate", "repo-past-bond-maturity", "repo-past-bond-maturity-price",
+         "repo-to-maturity-off-par-forward", "repo-to-maturity-off-par-forward-price",
+         "repo-row-overflow", "repo-row-overflow-no-clause"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
@@ -363,6 +372,17 @@ def test_non_finite_output_names_its_key(config_file, capsys, monkeypatch, prett
     assert code == 3
     assert out == ""
     assert err == "error: risky_bond_price: not a finite number\n"
+
+
+def test_cli_keeps_every_name_the_benchmark_wraps(monkeypatch):
+    # bench/workloads.py routes these names of the cli module through its tracer
+    # on every cli-mix run, so each must stay an attribute of cdsreplica.cli
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import cdsreplica.cli as cli_module
+    from workloads import CLI_CALLS
+
+    assert CLI_CALLS
+    assert [name for name in CLI_CALLS if not hasattr(cli_module, name)] == []
 
 
 def test_cli_import_leaves_numpy_unloaded():

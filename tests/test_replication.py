@@ -11,6 +11,7 @@ from cdsreplica import (
     DiscountCurve,
     InconsistentSpecs,
     Leg,
+    NonFiniteResult,
     RepoSpec,
     SurvivalCurve,
     annuity_defaultable,
@@ -175,6 +176,17 @@ class TestPortfolioLedger:
                 0.012, 0.013, True, survival_scenario(f1.survival, f1.schedule),
             )
 
+    def test_overflowing_row_is_named_not_summed(self, f1):
+        # P and the spread are finite, their product on the repo row is not
+        discount = DiscountCurve.flat(-100.0)
+        scenario = survival_scenario(f1.survival, f1.schedule)
+        ledger = portfolio_ledger(
+            discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=1e300),
+            0.0, 1e300, True, scenario,
+        )
+        with pytest.raises(NonFiniteResult, match="discounted repo cashflow at t = 1.0 "):
+            ledger.residual(discount)
+
 
 class TestReplicationReport:
     def test_clause_on_replicates_pathwise(self, f1):
@@ -200,6 +212,14 @@ class TestReplicationReport:
             f1.discount, f1.survival, f1.schedule, f1.bond, report.asw_spread
         )
         assert report.expected_residual == pytest.approx(-etp, abs=TOL)
+
+    @pytest.mark.parametrize("clause", [True, False])
+    def test_overflowing_row_is_named_not_summed(self, f1, clause):
+        discount = DiscountCurve.flat(-100.0)
+        with pytest.raises(NonFiniteResult, match="discounted repo cashflow at t_1 "):
+            replication_report(
+                discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=1e300), clause
+            )
 
     def test_riskless_world_is_clause_insensitive(self, f1):
         # with no hazard the default branches carry zero probability, so the
