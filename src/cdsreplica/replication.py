@@ -168,13 +168,13 @@ _Row = tuple[int, Leg, float]  # (k, leg, amount): a cashflow paid at t_k, t0 fo
 
 def _exact_parts(values: list[float]) -> list[float]:
     """A few floats whose exact sum is that of values: fsum, then fsum of what it
-    rounded away, until nothing is left. A sum that is not finite is kept as is."""
+    rounded away, until nothing is left. values are finite (_check_finite)."""
     parts: list[float] = []
     rest = fsum(values)
-    while rest and math.isfinite(rest):
+    while rest:
         parts.append(rest)
         rest = fsum(values + [-p for p in parts])
-    return parts or [rest]
+    return parts
 
 
 class _CashflowTable(NamedTuple):
@@ -185,6 +185,7 @@ class _CashflowTable(NamedTuple):
     settlements[b-1] holds the rows settling a default in bucket b <= L.
     """
 
+    last: int  # L: the periods the repo runs
     times: tuple[float, ...]  # t0, t_1, ..., t_N
     p: list[float]  # P at the same times
     body: list[_Row]
@@ -197,7 +198,7 @@ class _CashflowTable(NamedTuple):
         """Survival, or a default after the unwind, sees the whole body; a default
         in bucket b sees the opening, the periods before b and its settlement."""
         rows = self.body
-        if bucket is not None and bucket <= len(self.settlements):
+        if bucket is not None and bucket <= self.last:
             rows = rows[: _OPENING_ROWS + _PERIOD_ROWS * (bucket - 1)] + self.settlements[bucket - 1]
         return tuple(CashflowEntry(self.times[k], leg, amount) for k, leg, amount in rows)
 
@@ -223,7 +224,7 @@ class _CashflowTable(NamedTuple):
         for start, settlement in zip(range(_OPENING_ROWS, len(body), _PERIOD_ROWS), settlements):
             residuals.append(_residual(prefix + settlement))
             prefix = _exact_parts(prefix + body[start : start + _PERIOD_ROWS])
-        unwind = body[_OPENING_ROWS + _PERIOD_ROWS * len(self.settlements) :]
+        unwind = body[_OPENING_ROWS + _PERIOD_ROWS * self.last :]
         residuals.append(_residual(prefix + unwind))
         return residuals
 
@@ -272,7 +273,7 @@ def _cashflow_table(
         settlements.append(settlement)
     body += [(last, Leg.BOND, terminal_price), (last, Leg.REPO, -fwd_price)]
     times = (schedule.t0, *schedule.dates)
-    return _CashflowTable(times, g.p, body, settlements, fwd_price, asw_spread, cds_spread)
+    return _CashflowTable(last, times, g.p, body, settlements, fwd_price, asw_spread, cds_spread)
 
 
 def portfolio_ledger(
@@ -319,7 +320,7 @@ def replication_report(
     g = _grid(discount, survival, schedule)
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
     residuals = table.residuals()
-    residuals += residuals[-1:] * (schedule.n_periods + 1 - len(residuals))
+    residuals += residuals[-1:] * (schedule.n_periods - table.last)
     rows = [
         ScenarioResidual(scenario.default_bucket, scenario.probability, residual)
         for scenario, residual in zip(_scenarios(_distribution(g.q)), residuals)
@@ -331,7 +332,7 @@ def replication_report(
         asw_spread=table.asw_spread,
         cds_spread=table.cds_spread,
         repo_spread=repo.spread,
-        repo_maturity=schedule.dates[len(table.settlements) - 1],
+        repo_maturity=schedule.dates[table.last - 1],
         forward_price=table.forward_price,
         scenarios=tuple(rows),
         expected_residual=expected,
