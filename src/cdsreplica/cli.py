@@ -25,7 +25,7 @@ from .curves import (
     _grid,
     calibrate_flat_hazard,
 )
-from .errors import ConfigError, CrossedMarket, InconsistentSpecs, PricingError
+from .errors import ConfigError, PricingError
 from .pricers import (
     BondSpec,
     RepoSpec,
@@ -126,7 +126,7 @@ def _field(parse, **default):
 
 
 @dataclass(frozen=True)
-class BondConfig:
+class BondConfig(BondSpec):
     coupon: float = _field(_require_number)
     recovery: float = _field(_number_where(lambda r: 0.0 <= r < 1.0, "must lie in [0, 1)"))
     maturity: float = _field(_positive)
@@ -134,7 +134,7 @@ class BondConfig:
 
 
 @dataclass(frozen=True)
-class RepoConfig:
+class RepoConfig(RepoSpec):
     spread: float = _field(_require_number, default=0.0)
     maturity: float | None = _field(_positive, default=None)
     forward_price: float | None = _field(_forward_price, default=None)  # None means "fair"
@@ -204,7 +204,7 @@ def _discount_and_schedule(config: MarketConfig) -> tuple[DiscountCurve, Schedul
     return discount, schedule
 
 
-def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondSpec]:
+def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondConfig]:
     discount, schedule = _discount_and_schedule(config)
     if config.hazard_nodes is not None:
         survival = SurvivalCurve(
@@ -215,16 +215,7 @@ def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, S
         survival = calibrate_flat_hazard(
             discount, schedule, config.cds_quote, config.bond.recovery
         )
-    bond = BondSpec(coupon=config.bond.coupon, recovery=config.bond.recovery)
-    return discount, survival, schedule, bond
-
-
-def _repo_spec(config: MarketConfig) -> RepoSpec:
-    return RepoSpec(
-        spread=config.repo.spread,
-        maturity=config.repo.maturity,
-        forward_price=config.repo.forward_price,
-    )
+    return discount, survival, schedule, config.bond
 
 
 def cmd_price(config: MarketConfig) -> dict:
@@ -244,7 +235,7 @@ def cmd_price(config: MarketConfig) -> dict:
         "cancelable_asw_par_spread": _par_cancelable(g, bond, schedule.n_periods, 1.0).spread,
         "early_termination_pv": _early_termination(g, bond.coupon, s_asw),
     }
-    last, fair, forward_price = _repo_on_grid(g, schedule, bond, _repo_spec(config))
+    last, fair, forward_price = _repo_on_grid(g, schedule, bond, config.repo)
     if last < schedule.n_periods:
         report["forward_bond_price"] = fair
         report["generalized_cancelable_asw_par_spread"] = (
@@ -261,12 +252,11 @@ def cmd_replicate(
 ) -> tuple[dict, int]:
     """Scenario residual table; exit 0 iff the clause is on and residuals are tiny."""
     discount, survival, schedule, bond = _build_market(config)
-    repo = _repo_spec(config)
-    report = replication_report(discount, survival, schedule, bond, repo, clause_enabled)
+    report = replication_report(discount, survival, schedule, bond, config.repo, clause_enabled)
     payload = report.to_dict()
     if mc_paths is not None:
         mc = mc_check(
-            discount, survival, schedule, bond, repo, clause_enabled, mc_paths, seed
+            discount, survival, schedule, bond, config.repo, clause_enabled, mc_paths, seed
         )
         payload["mc_estimate"] = mc.estimate
         payload["mc_std_error"] = mc.std_error
@@ -407,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
             payload, code = cmd_implied_repo(config), 0
         else:
             payload, code = cmd_calibrate(config), 0
-    except (ConfigError, CrossedMarket, InconsistentSpecs) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PricingError as exc:

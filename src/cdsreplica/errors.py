@@ -41,9 +41,9 @@ class NonFiniteResult(PricingError):
     """A par spread or a price overflowed to infinity or came out NaN."""
 
 
-class CrossedMarket(PricingError):
+class CrossedMarket(ConfigError):
     """A bid quote exceeds its ask."""
 
 
-class InconsistentSpecs(PricingError):
+class InconsistentSpecs(ConfigError):
     """Repo, bond, and schedule parameters disagree."""

@@ -146,18 +146,14 @@ class McCheckResult(NamedTuple):
     std_error: float
 
 
-def _scenarios(dist: DefaultDistribution) -> list[DefaultScenario]:
-    scenarios = [
-        DefaultScenario(default_bucket=k, probability=p)
-        for k, p in enumerate(dist.bucket_probs, start=1)
-    ]
-    scenarios.append(DefaultScenario(default_bucket=None, probability=dist.survival_prob))
-    return scenarios
+def _buckets(dist: DefaultDistribution) -> list[tuple[int | None, float]]:
+    """The N + 1 (default bucket, probability) pairs: buckets ascending, survival (None) last."""
+    return [*enumerate(dist.bucket_probs, start=1), (None, dist.survival_prob)]
 
 
 def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[DefaultScenario]:
     """All N + 1 scenarios: default buckets ascending, survival last."""
-    return _scenarios(default_distribution(survival, schedule))
+    return [DefaultScenario(k, p) for k, p in _buckets(default_distribution(survival, schedule))]
 
 
 _OPENING_ROWS = 3
@@ -206,7 +202,7 @@ class _CashflowTable(NamedTuple):
         return [_term(leg, amount, self.p[k]) for k, leg, amount in rows]
 
     def residuals(self) -> list[float]:
-        """Residuals of default buckets 1..L, then of survival, over the terms of their entries.
+        """Residuals of default buckets 1..N, then of survival, over the terms of their entries.
 
         Each row is discounted once, and a discounted row that is not finite
         raises NonFiniteResult. The scenarios share the opening and the
@@ -225,8 +221,8 @@ class _CashflowTable(NamedTuple):
             residuals.append(_residual(prefix + settlement))
             prefix = _exact_parts(prefix + body[start : start + _PERIOD_ROWS])
         unwind = body[_OPENING_ROWS + _PERIOD_ROWS * self.last :]
-        residuals.append(_residual(prefix + unwind))
-        return residuals
+        # survival, and every default after the unwind, see the whole body
+        return residuals + [_residual(prefix + unwind)] * (len(self.times) - self.last)
 
 
 def _cashflow_table(
@@ -319,11 +315,9 @@ def replication_report(
     """
     g = _grid(discount, survival, schedule)
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
-    residuals = table.residuals()
-    residuals += residuals[-1:] * (schedule.n_periods - table.last)
     rows = [
-        ScenarioResidual(scenario.default_bucket, scenario.probability, residual)
-        for scenario, residual in zip(_scenarios(_distribution(g.q)), residuals)
+        ScenarioResidual(k, p, residual)
+        for (k, p), residual in zip(_buckets(_distribution(g.q)), table.residuals())
     ]
     expected = fsum(r.probability * r.residual for r in rows)
     abs_residuals = [abs(r.residual) for r in rows]
