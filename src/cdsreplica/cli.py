@@ -204,7 +204,7 @@ def _discount_and_schedule(config: MarketConfig) -> tuple[DiscountCurve, Schedul
     return discount, schedule
 
 
-def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondConfig]:
+def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, Schedule, BondSpec]:
     discount, schedule = _discount_and_schedule(config)
     if config.hazard_nodes is not None:
         survival = SurvivalCurve(

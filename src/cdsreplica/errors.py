@@ -34,7 +34,7 @@ class QuoteUnattainable(PricingError):
 
 
 class DegenerateAnnuity(PricingError):
-    """Annuity is zero or negative; par spread is undefined."""
+    """An annuity or a discounted survival weight is not positive; a ratio over it is undefined."""
 
 
 class NonFiniteResult(PricingError):

@@ -171,7 +171,12 @@ def _forward_bond(g: _Grid, bond: BondSpec, idx: int) -> float:
     """Bond value at t_{idx+1} given survival to it: the tail grid, rebased."""
     if idx == len(g.theta) - 1:
         return 1.0
-    return _risky_bond(g.window(idx + 1, len(g.theta)), bond) / (g.p[idx + 1] * g.q[idx + 1])
+    weight = g.p[idx + 1] * g.q[idx + 1]
+    if not weight > 0.0:
+        raise DegenerateAnnuity(
+            f"forward bond price at t_{idx + 1}: P * Q is {weight}, not positive"
+        )
+    return _risky_bond(g.window(idx + 1, len(g.theta)), bond) / weight
 
 
 def _repo_on_grid(
@@ -342,7 +347,8 @@ def forward_bond_price(
     """Bond value at repo maturity conditional on the issuer surviving to it.
 
     Curves restrict to [T_r, t_N] via the ratios P(t0, t) / P(t0, T_r) and
-    Q(t0, t) / Q(t0, T_r); at T_r = t_N this is the unit redemption.
+    Q(t0, t) / Q(t0, T_r); at T_r = t_N this is the unit redemption. Before
+    t_N, a P(T_r) * Q(T_r) that underflows to 0 raises DegenerateAnnuity.
     """
     idx = schedule.index_at(repo_maturity)
     return _forward_bond(_grid(discount, survival, schedule), bond, idx)

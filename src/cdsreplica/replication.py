@@ -366,6 +366,7 @@ def mc_check(
     cumulative[-1] = 1.0  # guard the top bucket against rounding
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
     sampled = residuals[np.searchsorted(cumulative, uniforms, side="right")]
-    estimate = float(sampled.mean())
-    std_error = float(sampled.std(ddof=1) / math.sqrt(n_paths))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at emission
+        estimate = float(sampled.mean())
+        std_error = float(sampled.std(ddof=1) / math.sqrt(n_paths))
     return McCheckResult(estimate=estimate, std_error=std_error)

@@ -1,12 +1,16 @@
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cdsreplica
 from cdsreplica import (
@@ -130,6 +134,12 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "--config", str(path), "price")
         assert code == 2
 
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "--config", str(tmp_path / "absent.json"), "price")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config file ")
+
     def test_roundtrip_parse_serialize_parse(self):
         with_quotes = dict(F1_CONFIG, quotes={"cds_bid": 0.01, "cds_ask": 0.012,
                                               "aswc_bid": 0.009, "aswc_ask": 0.011})
@@ -191,6 +201,13 @@ class TestReplicate:
         monkeypatch.setattr(cli_module, "replication_report", degraded)
         code, _, _ = run_cli(capsys, "--config", config_file(F1_CONFIG), "replicate")
         assert code == 4
+
+    def test_pretty_prints_one_row_per_scenario(self, config_file, capsys):
+        code, out, _ = run_cli(capsys, "--config", config_file(F1_CONFIG), "--pretty", "replicate")
+        assert code == 0
+        table = out.split("\n\n", 1)[1].splitlines()
+        assert table[0].split() == ["default_bucket", "probability", "residual"]
+        assert [row.split()[0] for row in table[1:]] == ["1", "2", "3", "4", "5", "survival"]
 
     def test_mc_runs_are_reproducible(self, config_file, capsys):
         args = (
@@ -282,6 +299,13 @@ def _with(section, **fields):
     return dict(F1_CONFIG, **{section: dict(F1_CONFIG.get(section, {}), **fields)})
 
 
+# Q(3) = exp(-900) underflows to 0.0, so the forward bond price at the repo's end is undefined.
+UNDERFLOWED_FORWARD = dict(F1_CONFIG, hazard_nodes=[[5.0, 300.0]], repo={"maturity": 3.0})
+# The residuals are finite, but their sampled squares overflow.
+OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
+                     repo={"maturity": 4.0, "forward_price": 0.5})
+
+
 @pytest.mark.parametrize(
     "payload,argv,code",
     [
@@ -305,13 +329,18 @@ def _with(section, **fields):
         (_with("repo", spread=1e300) | {"discount_nodes": [[5.0, -100.0]]}, ("replicate",), 3),
         (_with("repo", spread=1e300) | {"discount_nodes": [[5.0, -100.0]]},
          ("replicate", "--no-clause"), 3),
+        (UNDERFLOWED_FORWARD, ("price",), 3),
+        (UNDERFLOWED_FORWARD, ("replicate",), 3),
+        (F1_CONFIG, ("calibrate",), 2),
+        (OVERFLOWED_MC, ("replicate", "--mc", "1000"), 4),
     ],
     ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
          "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
          "discount-nodes-out-of-order", "hazard-nodes-repeated-time", "non-finite-price",
          "non-finite-replicate", "repo-past-bond-maturity", "repo-past-bond-maturity-price",
          "repo-to-maturity-off-par-forward", "repo-to-maturity-off-par-forward-price",
-         "repo-row-overflow", "repo-row-overflow-no-clause"],
+         "repo-row-overflow", "repo-row-overflow-no-clause", "underflowed-forward-price",
+         "underflowed-forward-replicate", "calibrate-without-quote", "mc-overflow"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
@@ -336,10 +365,17 @@ def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv,
         (_with("repo", maturity=0.0), "repo.maturity"),
         (_with("repo", forward_price="FAIR"), "repo.forward_price"),
         (dict(F1_CONFIG, discount_nodes=[[5.0, 0.02], [3.0, 0.01]]), "discount_nodes[1].time"),
+        (_with("bond", frequency=4.0), "bond.frequency"),
+        (dict(F1_CONFIG, discount_nodes=[]), "discount_nodes"),
+        (dict(F1_CONFIG, discount_nodes=[[5.0]]), "discount_nodes[0]"),
+        (dict(F1_CONFIG, discount_nodes=[[0.0, 0.02]]), "discount_nodes[0].time"),
+        (_with("bond", coupon=math.inf), "bond.coupon"),
     ],
     ids=["bond-unknown", "repo-unknown", "quotes-unknown", "bond-not-object", "repo-not-object",
          "quotes-not-object", "root-not-object", "quotes-missing-cds-ask", "repo-maturity-zero",
-         "repo-forward-price-FAIR", "discount-nodes-out-of-order"],
+         "repo-forward-price-FAIR", "discount-nodes-out-of-order", "frequency-not-integer",
+         "discount-nodes-empty", "discount-node-not-pair", "discount-node-time-zero",
+         "coupon-infinite"],
 )
 def test_single_fault_config_names_its_path(config_file, capsys, payload, path):
     code, out, err = run_cli(capsys, "--config", config_file(payload), "price")
@@ -452,3 +488,78 @@ def test_price_report_equals_the_public_pricers(payload):
             discount, survival, schedule, bond, repo_maturity, forward
         ).spread
     assert cmd_price(config) == expected
+
+
+# Values at and past the edges of float64, beside ordinary ones.
+_EDGES = (0.0, 1e-300, -1e-300, 5e-324, 1e-9, 0.5, 2.0, 300.0, 700.0, 1e300, 1.7e308, -300.0)
+_numbers = st.one_of(st.sampled_from(_EDGES), st.floats(-1.0, 1.0))
+_NODE_TIMES = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0)
+
+
+@st.composite
+def _cli_cases(draw):
+    """A config and a command drawn over the whole input domain, valid or not."""
+    maturity = draw(st.sampled_from((1, 2, 5)))
+    frequency = draw(st.sampled_from((1, 2, 4, 12)))
+
+    def nodes(rate):
+        times = draw(st.lists(st.sampled_from(_NODE_TIMES), min_size=1, max_size=3, unique=True))
+        return [[t, rate(draw(_numbers))] for t in sorted(times)]
+
+    config = {
+        "discount_nodes": nodes(float),
+        "bond": {"coupon": draw(_numbers),
+                 "recovery": draw(st.sampled_from((0.0, 0.4, 0.9, 0.999999))),
+                 "maturity": maturity, "frequency": frequency},
+        "repo": {"spread": draw(_numbers),
+                 "forward_price": draw(st.sampled_from(("fair", 0.5, 1, 1e300)))},
+    }
+    repo_periods = draw(st.none() | st.integers(1, maturity * frequency))
+    if repo_periods is not None:
+        config["repo"]["maturity"] = repo_periods / frequency
+    if draw(st.booleans()):
+        config["hazard_nodes"] = nodes(abs)
+    else:
+        config["cds_quote"] = abs(draw(_numbers))
+    if draw(st.booleans()):
+        keys = ("cds_bid", "cds_ask", "aswc_bid", "aswc_ask")
+        config["quotes"] = {key: draw(_numbers) for key in keys}
+    argv = draw(st.sampled_from((
+        ("price",), ("replicate",), ("replicate", "--no-clause"), ("replicate", "--mc", "1000"),
+        ("calibrate",), ("implied-repo",),
+    )))
+    if "--mc" in argv:
+        argv += ("--seed", str(draw(st.integers(0, 2**32))))
+    return config, argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def contract_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "market.json"
+
+
+@given(case=_cli_cases())
+@example(case=(UNDERFLOWED_FORWARD, ("price",)))
+@example(case=(OVERFLOWED_MC, ("replicate", "--mc", "1000")))
+@settings(max_examples=120, deadline=None)
+def test_every_input_ends_in_a_documented_exit(contract_config, case):
+    config, argv = case
+    contract_config.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--config", str(contract_config), *argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    one_error_line = out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code in (2, 3):
+        assert one_error_line
+    else:
+        # exit 4 may also carry a NaN payload, behind the gate that has already failed
+        if not (code == 4 and one_error_line):
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)

@@ -343,6 +343,11 @@ class TestForwardBondPrice:
         with pytest.raises(MaturityNotOnGrid):
             forward_bond_price(f1.discount, f1.survival, f1.schedule, f1.bond, 2.5)
 
+    def test_underflowed_survival_rejected(self, f1):
+        # Q(3) = exp(-900) is 0.0: the price conditional on surviving to 3y is undefined
+        with pytest.raises(DegenerateAnnuity, match="forward bond price at t_3"):
+            forward_bond_price(f1.discount, SurvivalCurve.flat(300.0), f1.schedule, f1.bond, 3.0)
+
 
 class TestGeneralizedSpread:
     def test_reduces_to_plain_cancelable_at_maturity(self, f1):
