@@ -34,7 +34,8 @@ class QuoteUnattainable(PricingError):
 
 
 class DegenerateAnnuity(PricingError):
-    """An annuity or a discounted survival weight is not positive; a ratio over it is undefined."""
+    """An annuity or a discounted survival weight is not positive, or an annuity so small
+    that the par spread over it exceeds 1e6 in magnitude; the ratio is undefined or absurd."""
 
 
 class NonFiniteResult(PricingError):

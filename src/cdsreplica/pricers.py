@@ -28,6 +28,13 @@ from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFini
 from .schedule import Schedule
 
 _FORWARD_PRICE_TOL = 1e-9
+# The largest par spread (per year) a pricer returns. Every spread row of the
+# replica's cashflow table is rounded by up to 2**-53 * |s| * theta * P, so past
+# 1e6 one row alone can carry 1e-10, the replication gate's tolerance: the
+# gate could then fail on rounding only. The spread at the top of the
+# calibration bracket (hazard 10, about 2.2e4 * LGD * e^r on an annual grid)
+# stays below it.
+_MAX_PAR_SPREAD = 1e6
 
 
 @dataclass(frozen=True)
@@ -102,10 +109,16 @@ def _finite(what: str, value: float) -> float:
 
 
 def _par(numerator: float, annuity: float) -> SpreadResult:
-    """The one annuity guard: every par spread is numerator / annuity, finite."""
+    """The one annuity guard: every par spread is numerator / annuity, finite and
+    at most _MAX_PAR_SPREAD in magnitude."""
     if not annuity > 0.0:
         raise DegenerateAnnuity(f"annuity {annuity} is not positive")
     spread = _finite("par spread", numerator / annuity)
+    if abs(spread) > _MAX_PAR_SPREAD:
+        raise DegenerateAnnuity(
+            f"par spread {spread} = {numerator} / annuity {annuity} exceeds"
+            f" {_MAX_PAR_SPREAD:g} in magnitude"
+        )
     return SpreadResult(spread=spread, numerator=numerator, annuity=annuity)
 
 

@@ -351,8 +351,10 @@ def mc_check(
     Default buckets are drawn with a counter-based generator (Philox keyed on
     the seed), so draw i is a pure function of (seed, i): results are bitwise
     reproducible for a given seed regardless of how paths are evaluated. The
-    seed is the 128-bit Philox key. numpy is imported here, so that pricing
-    and the enumerated report never load it.
+    seed is the 128-bit Philox key. The paths are counted per bucket, so the
+    moments are O(N) sums over the N + 1 residuals of the market's cashflow
+    table. numpy is imported here, so that pricing and the enumerated report
+    never load it.
     """
     import numpy as np
 
@@ -360,13 +362,26 @@ def mc_check(
         raise ConfigError(f"mc paths: need at least 1000, got {n_paths}")
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
-    report = replication_report(discount, survival, schedule, bond, repo, clause_enabled)
-    residuals = np.array([r.residual for r in report.scenarios])
-    cumulative = np.cumsum([r.probability for r in report.scenarios])
+    g = _grid(discount, survival, schedule)
+    residuals = np.array(_cashflow_table(g, schedule, bond, repo, clause_enabled).residuals())
+    cumulative = np.cumsum([p for _, p in _buckets(_distribution(g.q))])
     cumulative[-1] = 1.0  # guard the top bucket against rounding
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
-    sampled = residuals[np.searchsorted(cumulative, uniforms, side="right")]
+    counts = _bucket_counts(cumulative, uniforms)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at emission
-        estimate = float(sampled.mean())
-        std_error = float(sampled.std(ddof=1) / math.sqrt(n_paths))
-    return McCheckResult(estimate=estimate, std_error=std_error)
+        estimate = float(counts @ residuals / n_paths)
+        variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))
+    return McCheckResult(estimate=estimate, std_error=math.sqrt(variance) / math.sqrt(n_paths))
+
+
+def _bucket_counts(cumulative, uniforms):
+    """Paths per bucket: how many of the uniforms (numpy array, sorted here in place)
+    lie in [cumulative[b-1], cumulative[b]).
+
+    The multiset of buckets that searchsorted(cumulative, uniforms, side="right")
+    assigns path by path, from one sort and N + 1 searches into the sorted draws.
+    """
+    import numpy as np
+
+    uniforms.sort()
+    return np.diff(np.searchsorted(uniforms, cumulative, side="left"), prepend=0)

@@ -301,6 +301,8 @@ def _with(section, **fields):
 
 # Q(3) = exp(-900) underflows to 0.0, so the forward bond price at the repo's end is undefined.
 UNDERFLOWED_FORWARD = dict(F1_CONFIG, hazard_nodes=[[5.0, 300.0]], repo={"maturity": 3.0})
+# The annuity is about 1e-304, so the par spread is finite but absurd (6.2e303).
+ABSURD_SPREAD = dict(F1_CONFIG, hazard_nodes=[[5.0, 700.0]])
 # The residuals are finite, but their sampled squares overflow.
 OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
                      repo={"maturity": 4.0, "forward_price": 0.5})
@@ -333,6 +335,8 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
         (UNDERFLOWED_FORWARD, ("replicate",), 3),
         (F1_CONFIG, ("calibrate",), 2),
         (OVERFLOWED_MC, ("replicate", "--mc", "1000"), 4),
+        (ABSURD_SPREAD, ("price",), 3),
+        (ABSURD_SPREAD, ("replicate",), 3),
     ],
     ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
          "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
@@ -340,7 +344,8 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
          "non-finite-replicate", "repo-past-bond-maturity", "repo-past-bond-maturity-price",
          "repo-to-maturity-off-par-forward", "repo-to-maturity-off-par-forward-price",
          "repo-row-overflow", "repo-row-overflow-no-clause", "underflowed-forward-price",
-         "underflowed-forward-replicate", "calibrate-without-quote", "mc-overflow"],
+         "underflowed-forward-replicate", "calibrate-without-quote", "mc-overflow",
+         "absurd-spread-price", "absurd-spread-replicate"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)

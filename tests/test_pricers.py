@@ -424,6 +424,15 @@ def test_degenerate_annuity_unreachable_but_guarded():
         par_cds_spread(discount, crushed, schedule, 0.4)
 
 
+def test_absurd_par_spread_guarded(f1):
+    # hazard 700: the annuity is about 1e-304 and the spread 6.2e303, finite but absurd
+    with pytest.raises(DegenerateAnnuity, match="exceeds 1e"):
+        par_cds_spread(f1.discount, SurvivalCurve.flat(700.0), f1.schedule, f1.recovery)
+    # the top of the calibration bracket (hazard 10) on an annual grid still prices
+    top = par_cds_spread(f1.discount, SurvivalCurve.flat(10.0), f1.schedule, 0.0)
+    assert 2e4 < top.spread < 3e4
+
+
 def test_vanishing_riskfree_annuity_guarded(f1):
     # discount factors underflow to 0.0: the risk-free annuity vanishes with them
     with pytest.raises(DegenerateAnnuity):

@@ -349,6 +349,76 @@ class TestMcCheck:
                 RepoSpec(spread=0.001), True, 999, seed=1,
             )
 
+    def test_builds_one_grid_and_no_report(self, f1, monkeypatch):
+        calls = {"grid": 0, "report": 0}
+        real_grid = replication._grid
+
+        def counted_grid(*args):
+            calls["grid"] += 1
+            return real_grid(*args)
+
+        def counted_report(*args):
+            calls["report"] += 1
+            return replication_report(*args)
+
+        monkeypatch.setattr(replication, "_grid", counted_grid)
+        monkeypatch.setattr(replication, "replication_report", counted_report)
+        mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
+                 False, 2000, seed=5)
+        assert calls == {"grid": 1, "report": 0}
+
+    def test_overflowing_sample_gives_a_non_finite_error_quietly(self, f1):
+        # finite residuals whose squares overflow: no raise, and no numpy warning
+        # (which the suite's filterwarnings turns into a failure)
+        repo = RepoSpec(spread=0.001, maturity=4.0, forward_price=0.5)
+        result = mc_check(
+            DiscountCurve.flat(-100.0), f1.survival, f1.schedule, f1.bond, repo, True, 1000, 0
+        )
+        assert not math.isfinite(result.std_error)
+
+
+def _mc_cases():
+    """(market, repo, clause): tests/markets.py markets and quarterly and monthly grids
+    at N = 120 and 360, with the clause on and off and with an early repo."""
+    rng = random.Random(1010)
+    markets = [random_market(rng) for _ in range(24)]
+    markets += [_long_market(rng, n, frequency) for frequency in (4, 12) for n in (120, 360)]
+    for market in markets:
+        schedule = market[2]
+        spread = rng.uniform(-0.01, 0.02)
+        yield market, RepoSpec(spread), True
+        yield market, RepoSpec(spread), False
+        if schedule.n_periods > 1:
+            maturity = schedule.dates[rng.randrange(schedule.n_periods - 1)]
+            yield market, RepoSpec(spread, maturity=maturity), True
+
+
+def test_mc_counts_are_the_per_path_buckets():
+    # the check counts paths per bucket; sampling each path on its own must give
+    # the same buckets and, up to the order of the sums, the same moments
+    import numpy as np
+
+    n_paths = 20_000
+    for seed, (market, repo, clause) in enumerate(_mc_cases()):
+        report = replication_report(*market, repo, clause)
+        residuals = np.array([r.residual for r in report.scenarios])
+        cumulative = np.cumsum([r.probability for r in report.scenarios])
+        cumulative[-1] = 1.0
+        uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
+        buckets = np.searchsorted(cumulative, uniforms, side="right")
+        counts = replication._bucket_counts(cumulative, uniforms.copy())
+        expected = np.bincount(buckets, minlength=len(residuals))
+        assert counts.tolist() == expected.tolist()
+        sampled = residuals[buckets]
+        std_error = sampled.std(ddof=1) / math.sqrt(n_paths)
+        result = mc_check(*market, repo, clause, n_paths, seed)
+        assert abs(result.estimate - sampled.mean()) <= 1e-9 * std_error
+        assert abs(result.std_error - std_error) <= 1e-9 * std_error
+    # a draw equal to a cumulative probability lies in the bucket above it, as in searchsorted
+    cumulative = np.array([0.25, 0.5, 1.0])
+    uniforms = np.array([0.5, 0.0, 0.25, 0.3, 0.75])
+    assert replication._bucket_counts(cumulative, uniforms).tolist() == [1, 2, 2]
+
 
 @given(seed=st.integers(0, 10**9), repo_bp=st.integers(-100, 200))
 @settings(max_examples=60, deadline=None)
@@ -374,12 +444,12 @@ def test_exact_parts_keep_the_exact_sum(values, extra):
     assert math.fsum(replication._exact_parts(values) + extra) == math.fsum(values + extra)
 
 
-def _long_market(rng, periods):
-    maturity = periods / 12
+def _long_market(rng, periods, frequency=12):
+    maturity = periods / frequency
     return (
         random_discount(rng, maturity),
         random_survival(rng, maturity),
-        build_schedule(0.0, maturity, 12),
+        build_schedule(0.0, maturity, frequency),
         BondSpec(coupon=rng.uniform(0.0, 0.10), recovery=rng.uniform(0.0, 0.9)),
     )
 
