@@ -13,18 +13,27 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import fsum
+from math import exp, fsum
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateAnnuity, InvalidInterval, QuoteUnattainable, TimeBeforeAnchor
+from .errors import (
+    DegenerateAnnuity,
+    InvalidInterval,
+    NonFiniteResult,
+    QuoteUnattainable,
+    TimeBeforeAnchor,
+)
 from .schedule import Schedule
 
 _CALIBRATION_TOL = 1e-12
 _CALIBRATION_MAX_ITER = 200
 _HAZARD_BRACKET = (0.0, 10.0)
 _DISTRIBUTION_TOL = 1e-12
+_MAX_EXPONENT = math.log(sys.float_info.max)  # exp of anything larger overflows
 
 
 def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[float, ...]) -> None:
@@ -43,26 +52,45 @@ def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[fl
 
 
 def _exp_integrals(
-    t0: float, node_times: tuple[float, ...], rates: tuple[float, ...], times: Sequence[float]
+    curve: str,
+    t0: float,
+    node_times: tuple[float, ...],
+    rates: tuple[float, ...],
+    times: Sequence[float],
 ) -> list[float]:
     """exp(-integral of the piecewise-constant rate over [t0, t]) at each ascending t.
 
-    One pass over the nodes: the integral up to the current segment's start
-    carries over from one time to the next; the last rate extrapolates flat.
+    One pass over the segments: each takes its slice of the times by bisection
+    and evaluates it in one comprehension, from the integral up to its start;
+    times past the last node extrapolate its rate flat. An exponential that
+    overflows raises NonFiniteResult naming the curve and the time.
     """
     if times[0] < t0:
         raise TimeBeforeAnchor(f"time {times[0]} precedes curve anchor {t0}")
-    values = []
+    values: list[float] = []
     total = 0.0
     prev = t0
-    i = 0
-    n = len(node_times)
-    for t in times:
-        while i < n and t > node_times[i]:
-            total += rates[i] * (node_times[i] - prev)
-            prev = node_times[i]
-            i += 1
-        values.append(math.exp(-(total + rates[min(i, n - 1)] * (t - prev))))
+    lo = 0
+    try:
+        for node, rate in zip(node_times, rates):
+            hi = bisect_right(times, node, lo)
+            values += [exp(-(total + rate * (t - prev))) for t in times[lo:hi]]
+            if hi == len(times):
+                return values
+            total += rate * (node - prev)
+            prev = node
+            lo = hi
+        rate = rates[-1]
+        values += [exp(-(total + rate * (t - prev))) for t in times[lo:]]
+    except OverflowError:
+        # the failing slice starts at len(values); name its first time past the largest float
+        t = next(
+            (t for t in times[len(values):] if -(total + rate * (t - prev)) > _MAX_EXPONENT),
+            times[len(values)],
+        )
+        raise NonFiniteResult(
+            f"{curve} curve at t = {t}: exp({-(total + rate * (t - prev))}) overflows"
+        ) from None
     return values
 
 
@@ -83,14 +111,18 @@ class DiscountCurve:
     def flat(cls, rate: float, t0: float = 0.0) -> "DiscountCurve":
         return cls(node_times=(t0 + 1.0,), fwd_rates=(rate,), t0=t0)
 
+    def _at(self, times: Sequence[float]) -> list[float]:
+        """P at each of the ascending times."""
+        return _exp_integrals("discount", self.t0, self.node_times, self.fwd_rates, times)
+
     def discount_factor(self, t: float) -> float:
-        return _exp_integrals(self.t0, self.node_times, self.fwd_rates, (t,))[0]
+        return self._at((t,))[0]
 
     def forward_rate(self, t_start: float, t_end: float) -> float:
         """Simple-compounded forward rate over (t_start, t_end]: the model's floating fixing."""
         if t_end <= t_start:
             raise InvalidInterval(f"need t_start < t_end, got ({t_start}, {t_end})")
-        p_start, p_end = _exp_integrals(self.t0, self.node_times, self.fwd_rates, (t_start, t_end))
+        p_start, p_end = self._at((t_start, t_end))
         return (p_start / p_end - 1.0) / (t_end - t_start)
 
 
@@ -113,8 +145,12 @@ class SurvivalCurve:
     def flat(cls, hazard: float, t0: float = 0.0) -> "SurvivalCurve":
         return cls(node_times=(t0 + 1.0,), hazards=(hazard,), t0=t0)
 
+    def _at(self, times: Sequence[float]) -> list[float]:
+        """Q at each of the ascending times."""
+        return _exp_integrals("survival", self.t0, self.node_times, self.hazards, times)
+
     def survival_prob(self, t: float) -> float:
-        return _exp_integrals(self.t0, self.node_times, self.hazards, (t,))[0]
+        return self._at((t,))[0]
 
 
 class _Grid(NamedTuple):
@@ -140,13 +176,13 @@ class _Grid(NamedTuple):
 def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
     """theta, P, Q and eps of the market, one pass per curve; no survival curve means Q = 1."""
     times = [schedule.t0, *schedule.dates]
-    p = _exp_integrals(discount.t0, discount.node_times, discount.fwd_rates, times)
+    p = discount._at(times)
     if not all(df > 0.0 for df in p):
         raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
     if survival is None:
         q = [1.0] * len(times)
     else:
-        q = _exp_integrals(survival.t0, survival.node_times, survival.hazards, times)
+        q = survival._at(times)
     theta = schedule.accruals
     eps = [(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], theta)]
     return _Grid(theta, p, q, eps)
@@ -185,7 +221,7 @@ def _distribution(q: list[float]) -> DefaultDistribution:
 def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDistribution:
     """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k)."""
     times = [schedule.t0, *schedule.dates]
-    return _distribution(_exp_integrals(curve.t0, curve.node_times, curve.hazards, times))
+    return _distribution(curve._at(times))
 
 
 def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float, ...]:
@@ -238,7 +274,7 @@ def _calibrate_flat_hazard(
     def evaluate(hazard: float) -> tuple[SurvivalCurve, float, float]:
         """The curve at this hazard, its par spread s and ds/dh = (LGD dD/dh - s dA/dh) / A."""
         curve = SurvivalCurve.flat(hazard, t0=discount.t0)
-        q = _exp_integrals(curve.t0, curve.node_times, curve.hazards, times)
+        q = curve._at(times)
         par = _par_cds(grid._replace(q=q), recovery)
         slope = lgd * fsum(map(mul, default_w, q)) + par.spread * fsum(map(mul, annuity_w, q))
         return curve, par.spread, slope / par.annuity

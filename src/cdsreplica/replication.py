@@ -12,10 +12,19 @@ leg); the two rows net to -LGD * (1 + eps * theta), identical to the CDS
 payout. Booking them gross keeps each leg's enumerated value equal to its
 instrument's price.
 
-Every scenario's ledger is a slice of one per-market cashflow table: the
-opening rows, the rows of the periods survived, and the settlement of the
-default (or the survival unwind). The table is O(N) rows, each discounted
-once; a scenario residual is one exact sum over its slice.
+Every scenario's ledger is a slice of one per-market cashflow table, held
+as per-leg columns of amounts:
+- the opening at t0: bond, repo and asset swap;
+- the coupons of periods 1..L: a bond, a repo, an asset swap and a CDS
+  column, entry k paid at t_k;
+- the settlement of a default in bucket b = 1..L, paid at t_b: a bond, a
+  repo and a CDS column, and an asset swap column (the close-out) with the
+  clause off;
+- the survival unwind at t_L: bond and repo.
+A default in bucket b sees the opening, the coupons before b and its
+settlement; survival sees the opening, every coupon and the unwind. Each
+column is discounted once, amount * P_k in one comprehension with the CDS
+negated; a scenario residual is one exact sum over its slice.
 """
 
 from __future__ import annotations
@@ -88,14 +97,9 @@ class CashflowLedger:
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
         dfs = {t: discount.discount_factor(t) for t in {e.time for e in self.entries}}
-        terms = [_term(e.leg, e.amount, dfs[e.time]) for e in self.entries]
+        terms = [_discounted(e.leg, [e.amount], [dfs[e.time]])[0] for e in self.entries]
         _check_finite([terms], ((e.leg, f"t = {e.time}") for e in self.entries))
         return _residual(terms)
-
-
-def _term(leg: Leg, amount: float, df: float) -> float:
-    """One row's discounted share of the residual: the CDS counts against the portfolio."""
-    return (-amount if leg is Leg.CDS else amount) * df
 
 
 def _check_finite(groups: list[list[float]], labels: Iterable[tuple[Leg, str]]) -> None:
@@ -109,7 +113,7 @@ def _check_finite(groups: list[list[float]], labels: Iterable[tuple[Leg, str]]) 
 
 
 def _residual(terms: list[float]) -> float:
-    """Portfolio (bond + repo + asset swap) minus CDS: the rows' terms, summed exactly.
+    """Portfolio (bond + repo + asset swap) minus CDS: the entries' terms, summed exactly.
 
     fsum is correctly rounded, so the result does not depend on the order of
     the terms, only on which terms a scenario holds.
@@ -156,10 +160,10 @@ def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[Def
     return [DefaultScenario(k, p) for k, p in _buckets(default_distribution(survival, schedule))]
 
 
-_OPENING_ROWS = 3
-_PERIOD_ROWS = 4
+_OPENING_LEGS = (Leg.BOND, Leg.REPO, Leg.ASSET_SWAP)  # at t0
+_UNWIND_LEGS = (Leg.BOND, Leg.REPO)  # at t_L
 
-_Row = tuple[int, Leg, float]  # (k, leg, amount): a cashflow paid at t_k, t0 for k = 0
+_Column = tuple[Leg, list[float]]  # one leg's amounts, paid at t_1, ..., t_L
 
 
 def _exact_parts(values: list[float]) -> list[float]:
@@ -169,67 +173,99 @@ def _exact_parts(values: list[float]) -> list[float]:
     rest = fsum(values)
     while rest:
         parts.append(rest)
-        rest = fsum(values + [-p for p in parts])
+        values = [*values, -rest]
+        rest = fsum(values)
     return parts
 
 
-class _CashflowTable(NamedTuple):
-    """Every cashflow of one market, each written down once.
+def _discounted(leg: Leg, amounts: list[float], dfs: list[float]) -> list[float]:
+    """Each amount's discounted share of the residual, amount * P: the CDS counts
+    against the portfolio, so its amounts are negated first."""
+    if leg is Leg.CDS:
+        return [-amount * df for amount, df in zip(amounts, dfs)]
+    return [amount * df for amount, df in zip(amounts, dfs)]
 
-    body holds the opening rows at t0, the four rows (bond, repo, asset swap,
-    CDS) of each period 1..L in date order and the survival unwind at t_L;
-    settlements[b-1] holds the rows settling a default in bucket b <= L.
+
+class _CashflowTable(NamedTuple):
+    """Every cashflow of one market, each written down once, as per-leg columns.
+
+    opening holds the amounts at t0 of _OPENING_LEGS; periods holds the bond,
+    repo, asset swap and CDS columns of the coupons of periods 1..L;
+    settlements holds the bond, repo, asset swap (with the clause off only)
+    and CDS columns of the settlement of a default in bucket b = 1..L, paid at
+    t_b; unwind holds the amounts at t_L of _UNWIND_LEGS, the survival unwind.
     """
 
     last: int  # L: the periods the repo runs
     times: tuple[float, ...]  # t0, t_1, ..., t_N
     p: list[float]  # P at the same times
-    body: list[_Row]
-    settlements: list[list[_Row]]
-    forward_price: float  # the deal the rows book: X and the two spreads
+    opening: list[float]
+    periods: list[_Column]
+    settlements: list[_Column]
+    unwind: list[float]
+    forward_price: float  # the deal the table books: X and the two spreads
     asw_spread: float
     cds_spread: float
 
     def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
-        """Survival, or a default after the unwind, sees the whole body; a default
-        in bucket b sees the opening, the periods before b and its settlement."""
-        rows = self.body
-        if bucket is not None and bucket <= self.last:
-            rows = rows[: _OPENING_ROWS + _PERIOD_ROWS * (bucket - 1)] + self.settlements[bucket - 1]
-        return tuple(CashflowEntry(self.times[k], leg, amount) for k, leg, amount in rows)
-
-    def _terms(self, rows: list[_Row]) -> list[float]:
-        return [_term(leg, amount, self.p[k]) for k, leg, amount in rows]
+        """Survival, or a default after the unwind, sees the opening, every period
+        and the unwind; a default in bucket b sees the opening, the periods before
+        b and its settlement."""
+        t, last = self.times, self.last
+        defaulted = bucket is not None and bucket <= last
+        survived = bucket - 1 if defaulted else last
+        entries = [CashflowEntry(t[0], leg, a) for leg, a in zip(_OPENING_LEGS, self.opening)]
+        entries += [
+            CashflowEntry(t[k], leg, amounts[k - 1])
+            for k in range(1, survived + 1)
+            for leg, amounts in self.periods
+        ]
+        if defaulted:
+            entries += [CashflowEntry(t[bucket], leg, a[bucket - 1]) for leg, a in self.settlements]
+        else:
+            entries += [CashflowEntry(t[last], leg, a) for leg, a in zip(_UNWIND_LEGS, self.unwind)]
+        return tuple(entries)
 
     def residuals(self) -> list[float]:
         """Residuals of default buckets 1..N, then of survival, over the terms of their entries.
 
-        Each row is discounted once, and a discounted row that is not finite
-        raises NonFiniteResult. The scenarios share the opening and the
-        periods survived, so that prefix is carried forward as its
-        _exact_parts: each residual is one fsum over O(1) values, equal bit
-        for bit to the fsum over its whole slice, because fsum is correctly
-        rounded.
+        Each amount is discounted once, column by column, and a discounted
+        amount that is not finite raises NonFiniteResult. The scenarios share
+        the opening and the periods survived, so that prefix is carried
+        forward as its _exact_parts: each residual is one fsum over O(1)
+        values, equal bit for bit to the fsum over its whole slice, because
+        fsum is correctly rounded.
         """
-        body = self._terms(self.body)
-        settlements = [self._terms(rows) for rows in self.settlements]
-        rows = chain(self.body, *self.settlements)
-        _check_finite([body, *settlements], ((leg, f"t_{k}") for k, leg, _ in rows))
-        prefix = _exact_parts(body[:_OPENING_ROWS])
+        p, last = self.p, self.last
+        dfs = p[1 : last + 1]
+        opening = [a * p[0] for a in self.opening]
+        periods = [_discounted(leg, amounts, dfs) for leg, amounts in self.periods]
+        settlements = [_discounted(leg, amounts, dfs) for leg, amounts in self.settlements]
+        unwind = [a * p[last] for a in self.unwind]
+        dates = range(1, last + 1)
+        _check_finite(
+            [opening, *periods, unwind, *settlements],
+            chain(
+                ((leg, "t_0") for leg in _OPENING_LEGS),
+                ((leg, f"t_{k}") for leg, _ in self.periods for k in dates),
+                ((leg, f"t_{last}") for leg in _UNWIND_LEGS),
+                ((leg, f"t_{k}") for leg, _ in self.settlements for k in dates),
+            ),
+        )
+        prefix = _exact_parts(opening)
         residuals = []
-        for start, settlement in zip(range(_OPENING_ROWS, len(body), _PERIOD_ROWS), settlements):
-            residuals.append(_residual(prefix + settlement))
-            prefix = _exact_parts(prefix + body[start : start + _PERIOD_ROWS])
-        unwind = body[_OPENING_ROWS + _PERIOD_ROWS * self.last :]
-        # survival, and every default after the unwind, see the whole body
-        return residuals + [_residual(prefix + unwind)] * (len(self.times) - self.last)
+        for period, settlement in zip(zip(*periods), zip(*settlements)):
+            residuals.append(_residual([*prefix, *settlement]))
+            prefix = _exact_parts([*prefix, *period])
+        # survival, and every default after the unwind, see every coupon and the unwind
+        return residuals + [_residual(prefix + unwind)] * (len(self.times) - last)
 
 
 def _cashflow_table(
     g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool,
     spreads: tuple[float, float] | None = None,
 ) -> _CashflowTable:
-    """The O(L) rows behind all N + 1 scenario ledgers, for the repo resolved onto the grid.
+    """The O(L) amounts behind all N + 1 scenario ledgers, for the repo resolved onto the grid.
 
     spreads is (asw, cds); None means the par spread of the swap actually
     traded, with the CDS at that spread plus the repo spread.
@@ -248,28 +284,25 @@ def _cashflow_table(
     mtm_values = None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread)
     asw_spread = _finite("asw spread", asw_spread)
     cds_spread = _finite("cds spread", cds_spread)
-    body: list[_Row] = [
-        (0, Leg.BOND, -bond_price),
-        (0, Leg.REPO, fwd_price),
-        (0, Leg.ASSET_SWAP, bond_price - fwd_price),
+    theta, eps = g.theta[:last], g.eps[:last]
+    rolled = [1.0 + e * th for e, th in zip(eps, theta)]
+    periods = [
+        (Leg.BOND, [bond.coupon * th for th in theta]),
+        (Leg.REPO, [(-e + repo.spread) * th for e, th in zip(eps, theta)]),
+        (Leg.ASSET_SWAP, [(-bond.coupon + e + asw_spread) * th for e, th in zip(eps, theta)]),
+        (Leg.CDS, [cds_spread * th for th in theta]),
     ]
-    settlements: list[list[_Row]] = []
-    for k, theta, e in zip(range(1, last + 1), g.theta, g.eps):
-        body += [
-            (k, Leg.BOND, bond.coupon * theta),
-            (k, Leg.REPO, (-e + repo.spread) * theta),
-            (k, Leg.ASSET_SWAP, (-bond.coupon + e + asw_spread) * theta),
-            (k, Leg.CDS, cds_spread * theta),
-        ]
-        rolled = 1.0 + e * theta
-        settlement = [(k, Leg.BOND, bond.recovery * rolled), (k, Leg.REPO, -rolled)]
-        if mtm_values is not None:
-            settlement.append((k, Leg.ASSET_SWAP, mtm_values[k - 1]))
-        settlement.append((k, Leg.CDS, -bond.lgd * rolled))
-        settlements.append(settlement)
-    body += [(last, Leg.BOND, terminal_price), (last, Leg.REPO, -fwd_price)]
-    times = (schedule.t0, *schedule.dates)
-    return _CashflowTable(last, times, g.p, body, settlements, fwd_price, asw_spread, cds_spread)
+    settlements = [
+        (Leg.BOND, [bond.recovery * r for r in rolled]),
+        (Leg.REPO, [-r for r in rolled]),
+        *([] if mtm_values is None else [(Leg.ASSET_SWAP, mtm_values)]),
+        (Leg.CDS, [-bond.lgd * r for r in rolled]),
+    ]
+    return _CashflowTable(
+        last, (schedule.t0, *schedule.dates), g.p,
+        [-bond_price, fwd_price, bond_price - fwd_price], periods, settlements,
+        [terminal_price, -fwd_price], fwd_price, asw_spread, cds_spread,
+    )
 
 
 def portfolio_ledger(

@@ -7,6 +7,7 @@ stubs, and roll conventions are out of scope.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods
@@ -51,10 +52,17 @@ class Schedule:
         return self.dates[-1]
 
     def index_at(self, t: float) -> int:
-        """0-based index of the payment date equal to t (within 1e-9)."""
-        for i, date in enumerate(self.dates):
-            if abs(date - t) <= _GRID_TOL:
+        """0-based index of the first payment date equal to t (within 1e-9).
+
+        Bisection skips the dates below t - 2e-9, which rounding cannot bring
+        within 1e-9 of t; the scan from there stops at the first date within
+        the tolerance, or at the first date past t.
+        """
+        for i in range(bisect_left(self.dates, t - 2 * _GRID_TOL), len(self.dates)):
+            if abs(self.dates[i] - t) <= _GRID_TOL:
                 return i
+            if self.dates[i] > t:
+                break
         raise MaturityNotOnGrid(f"time {t} is not a payment date of the schedule")
 
 

@@ -355,6 +355,15 @@ def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv,
     assert "Traceback" not in err
 
 
+def test_overflowing_discount_factor_exits_3_naming_the_curve(config_file, capsys):
+    # exp(1000) overflows at t_1: the curve reports it, not the catch-all OverflowError handler
+    payload = dict(F1_CONFIG, discount_nodes=[[5.0, -1000.0]])
+    code, out, err = run_cli(capsys, "--config", config_file(payload), "price")
+    assert code == 3
+    assert out == ""
+    assert err == "error: discount curve at t = 1.0: exp(1000.0) overflows\n"
+
+
 @pytest.mark.parametrize(
     "payload,path",
     [

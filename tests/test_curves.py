@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsreplica import (
     DiscountCurve,
     InvalidInterval,
+    NonFiniteResult,
     QuoteUnattainable,
     SurvivalCurve,
     TimeBeforeAnchor,
@@ -19,6 +20,7 @@ from cdsreplica import (
 )
 from cdsreplica import curves
 from cdsreplica.curves import _calibrate_flat_hazard
+from curve_oracle import exp_integrals
 from markets import random_discount, random_survival
 
 
@@ -274,3 +276,57 @@ class TestNewtonCalibration:
         schedule = build_schedule(0.0, 5.0, 1)
         with pytest.raises(ValueError):
             calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, math.nan, 0.4)
+
+
+ORACLE_NODES = (0.75, 2.5, 6.0, 14.0)
+ORACLE_RATES = (0.012, -0.021, 0.028, 0.034)
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+@st.composite
+def _curve_and_times(draw):
+    """(t0, node_times, rates, ascending times): nodes and t0 themselves are often drawn."""
+    t0 = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+    node_times = []
+    for gap in draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=5)):
+        node_times.append((node_times[-1] if node_times else t0) + gap)
+    rates = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(node_times), max_size=len(node_times)))
+    anywhere = st.floats(t0, node_times[-1] + 5.0)
+    times = draw(st.lists(st.one_of(st.sampled_from([t0, *node_times]), anywhere),
+                          min_size=1, max_size=12))
+    return t0, tuple(node_times), tuple(rates), sorted(times)
+
+
+@given(case=_curve_and_times())
+@example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [0.0, 1.0, 2.5, 3.0]))  # a time on a node
+@example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [0.0, 0.5, 20.0]))  # nodes between two times
+@example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [0.0, 0.1, 0.2]))  # all before the first node
+@example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [15.0, 16.0, 30.0]))  # all past the last node
+@example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [4.2]))  # a single time
+@example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [0.0]))  # t = t0
+@settings(max_examples=300, deadline=None)
+def test_exp_integrals_is_the_per_time_loop_bit_for_bit(case):
+    t0, node_times, rates, times = case
+    got = curves._exp_integrals("discount", t0, node_times, rates, times)
+    assert _hexes(got) == _hexes(exp_integrals(t0, node_times, rates, times))
+
+
+def test_grid_is_the_per_time_loop_bit_for_bit():
+    discount = DiscountCurve(ORACLE_NODES, ORACLE_RATES)
+    survival = SurvivalCurve((1.3, 4.7, 9.0), (0.011, 0.024, 0.03))
+    schedule = build_schedule(0.0, 30.0, 12)
+    times = [0.0, *schedule.dates]
+    g = curves._grid(discount, survival, schedule)
+    assert _hexes(g.p) == _hexes(exp_integrals(0.0, ORACLE_NODES, ORACLE_RATES, times))
+    assert _hexes(g.q) == _hexes(exp_integrals(0.0, survival.node_times, survival.hazards, times))
+
+
+def test_overflowing_factor_names_the_curve_and_the_time():
+    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 1\.0: exp\(1000\.0\) overflows"):
+        DiscountCurve.flat(-1000.0).discount_factor(1.0)
+    # the first time that overflows, not the first of its segment
+    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 2\.0: "):
+        curves._exp_integrals("discount", 0.0, (10.0,), (-500.0,), [0.0, 1.0, 2.0, 3.0])

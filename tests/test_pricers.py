@@ -11,6 +11,7 @@ from cdsreplica import (
     DegenerateAnnuity,
     DiscountCurve,
     MaturityNotOnGrid,
+    NonFiniteResult,
     RepoSpec,
     SurvivalCurve,
     annuity_defaultable,
@@ -103,6 +104,11 @@ class TestRiskyBond:
         assert oracle == pytest.approx(F1_EXPECTED["risky_bond"], abs=TOL)
         got = price_risky_bond(f1.discount, f1.survival, f1.schedule, f1.bond)
         assert got == pytest.approx(oracle, abs=TOL)
+
+    def test_overflowing_discount_factor_is_a_non_finite_result(self, f1):
+        # P(1) = exp(1000) overflows a float: a pricing error, not a bare OverflowError
+        with pytest.raises(NonFiniteResult, match="discount curve at t = 1.0"):
+            price_risky_bond(DiscountCurve.flat(-1000.0), f1.survival, f1.schedule, f1.bond)
 
 
 class TestRiskyFloater:

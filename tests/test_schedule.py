@@ -56,6 +56,19 @@ def test_truncate_at_maturity_is_identity():
     assert truncate_schedule(s, 5.0) == s
 
 
+def test_index_at_is_the_first_date_within_tolerance():
+    # the first two dates lie 1.5e-9 apart, so a time between them is within 1e-9 of both
+    s = Schedule(t0=0.0, dates=(1.0, 1.0 + 1.5e-9, 2.0))
+    for t in (1.0 - 0.9e-9, 1.0, 1.0 + 0.75e-9, 1.0 + 1e-9, 1.0 + 1.5e-9, 1.0 + 2.4e-9, 2.0 + 0.9e-9):
+        first = next(i for i, date in enumerate(s.dates) if abs(date - t) <= 1e-9)
+        assert s.index_at(t) == first
+    assert s.index_at(1.0 + 0.75e-9) == 0
+    assert s.index_at(1.0 + 2.4e-9) == 1
+    for t in (1.0 - 2e-9, 1.0 + 3e-9, 1.5, 2.0 + 2e-9, math.nan, math.inf):
+        with pytest.raises(MaturityNotOnGrid):
+            s.index_at(t)
+
+
 def test_truncate_off_grid_rejected():
     s = build_schedule(0.0, 5.0, 1)
     with pytest.raises(MaturityNotOnGrid):
