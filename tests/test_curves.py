@@ -307,7 +307,7 @@ def _curve_and_times(draw):
 @example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [15.0, 16.0, 30.0]))  # all past the last node
 @example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [4.2]))  # a single time
 @example(case=(0.0, ORACLE_NODES, ORACLE_RATES, [0.0]))  # t = t0
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_exp_integrals_is_the_per_time_loop_bit_for_bit(case):
     t0, node_times, rates, times = case
     got = curves._exp_integrals("discount", t0, node_times, rates, times)
@@ -324,9 +324,7 @@ def test_grid_is_the_per_time_loop_bit_for_bit():
     assert _hexes(g.q) == _hexes(exp_integrals(0.0, survival.node_times, survival.hazards, times))
 
 
-def test_overflowing_factor_names_the_curve_and_the_time():
-    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 1\.0: exp\(1000\.0\) overflows"):
-        DiscountCurve.flat(-1000.0).discount_factor(1.0)
-    # the first time that overflows, not the first of its segment
-    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 2\.0: "):
+def test_overflow_names_the_first_time_that_overflows():
+    # exp(500) is finite, exp(1000) is not: t = 2.0, not the first time of the segment
+    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 2\.0: exp\(1000\.0\) overflows"):
         curves._exp_integrals("discount", 0.0, (10.0,), (-500.0,), [0.0, 1.0, 2.0, 3.0])
