@@ -16,35 +16,17 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import repeat
 
-from .curves import (
-    DiscountCurve,
-    SurvivalCurve,
-    _calibrate_flat_hazard,
-    _grid,
-    calibrate_flat_hazard,
-)
+from .curves import DiscountCurve, SurvivalCurve, _calibrate_flat_hazard, calibrate_flat_hazard
 from .errors import ConfigError, PricingError
-from .pricers import (
+
+# The per-number pricers after price_sheet are not called here; they stay importable
+# from this module because bench/workloads.py wraps them by name (CLI_CALLS).
+from .pricers import (  # noqa: F401
     BondSpec,
     RepoSpec,
-    _annuity,
-    _early_termination,
-    _note,
-    _par_asw,
-    _par_cancelable,
-    _par_cds,
-    _repo_on_grid,
-    _risky_bond,
-    _riskless,
     implied_repo_spreads,
-)
-
-# cmd_price prices on one grid through the private helpers above; these public
-# pricers stay importable from this module, where bench/workloads.py wraps them
-# by name (CLI_CALLS) on the cli-mix workload.
-from .pricers import (  # noqa: F401
+    price_sheet,
     annuity_defaultable,
     annuity_riskfree,
     early_termination_pv,
@@ -220,28 +202,7 @@ def _build_market(config: MarketConfig) -> tuple[DiscountCurve, SurvivalCurve, S
 
 def cmd_price(config: MarketConfig) -> dict:
     """Prices, annuities, and every par spread for the configured market, on one grid."""
-    discount, survival, schedule, bond = _build_market(config)
-    g = _grid(discount, survival, schedule)
-    riskless = _riskless(g)
-    s_asw = _par_asw(g, bond).spread
-    report = {
-        "riskfree_bond_price": _note(riskless, repeat(bond.coupon), 0.0),
-        "risky_bond_price": _risky_bond(g, bond),
-        "risky_floater_price": _note(g, g.eps, bond.recovery),
-        "annuity_riskfree": _annuity(riskless),
-        "annuity_defaultable": _annuity(g),
-        "cds_par_spread": _par_cds(g, bond.recovery).spread,
-        "asw_par_spread": s_asw,
-        "cancelable_asw_par_spread": _par_cancelable(g, bond, schedule.n_periods, 1.0).spread,
-        "early_termination_pv": _early_termination(g, bond.coupon, s_asw),
-    }
-    last, fair, forward_price = _repo_on_grid(g, schedule, bond, config.repo)
-    if last < schedule.n_periods:
-        report["forward_bond_price"] = fair
-        report["generalized_cancelable_asw_par_spread"] = (
-            _par_cancelable(g, bond, last, forward_price).spread
-        )
-    return report
+    return price_sheet(*_build_market(config), config.repo)
 
 
 def cmd_replicate(

@@ -212,6 +212,42 @@ def _repo_on_grid(
     return idx + 1, fair, forward_price
 
 
+def price_sheet(
+    discount: DiscountCurve,
+    survival: SurvivalCurve,
+    schedule: Schedule,
+    bond: BondSpec,
+    repo: RepoSpec,
+) -> dict[str, float]:
+    """Prices, annuities, every par spread and the clause's PV of one market, from one grid.
+
+    Each number is bit for bit what its public pricer returns. The forward bond
+    price and the generalized break-clause spread are added only when the repo
+    ends before the bond matures; the repo is validated as for the replication.
+    """
+    g = _grid(discount, survival, schedule)
+    riskless = _riskless(g)
+    s_asw = _par_asw(g, bond).spread
+    sheet = {
+        "riskfree_bond_price": _note(riskless, repeat(bond.coupon), 0.0),
+        "risky_bond_price": _risky_bond(g, bond),
+        "risky_floater_price": _note(g, g.eps, bond.recovery),
+        "annuity_riskfree": _annuity(riskless),
+        "annuity_defaultable": _annuity(g),
+        "cds_par_spread": _par_cds(g, bond.recovery).spread,
+        "asw_par_spread": s_asw,
+        "cancelable_asw_par_spread": _par_cancelable(g, bond, schedule.n_periods, 1.0).spread,
+        "early_termination_pv": _early_termination(g, bond.coupon, s_asw),
+    }
+    last, fair, forward_price = _repo_on_grid(g, schedule, bond, repo)
+    if last < schedule.n_periods:
+        sheet["forward_bond_price"] = fair
+        sheet["generalized_cancelable_asw_par_spread"] = (
+            _par_cancelable(g, bond, last, forward_price).spread
+        )
+    return sheet
+
+
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Sum of c * theta_k * P(t_k) plus P(t_N)."""
     return _note(_grid(discount, None, schedule), repeat(coupon), 0.0)
