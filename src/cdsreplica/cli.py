@@ -48,7 +48,10 @@ REPLICATION_TOL = 1e-10
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the largest float; its digits are not echoed
+        raise ConfigError(f"{path}: must be finite, got an integer too large for a float") from None
     if not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     return number
@@ -311,10 +314,11 @@ def _load_config(path: str) -> MarketConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, or an integer past Python's digit limit; RecursionError: too deep
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(raw)
 
 

@@ -63,7 +63,8 @@ def _exp_integrals(
     One pass over the segments: each takes its slice of the times by bisection
     and evaluates it in one comprehension, from the integral up to its start;
     times past the last node extrapolate its rate flat. An exponential that
-    overflows raises NonFiniteResult naming the curve and the time.
+    overflows, an infinite exponent included, raises NonFiniteResult naming
+    the curve and the time.
     """
     if times[0] < t0:
         raise TimeBeforeAnchor(f"time {times[0]} precedes curve anchor {t0}")
@@ -71,27 +72,34 @@ def _exp_integrals(
     total = 0.0
     prev = t0
     lo = 0
-    try:
-        for node, rate in zip(node_times, rates):
-            hi = bisect_right(times, node, lo)
-            values += [exp(-(total + rate * (t - prev))) for t in times[lo:hi]]
-            if hi == len(times):
-                return values
-            total += rate * (node - prev)
-            prev = node
-            lo = hi
-        rate = rates[-1]
-        values += [exp(-(total + rate * (t - prev))) for t in times[lo:]]
-    except OverflowError:
-        # the failing slice starts at len(values); name its first time past the largest float
-        t = next(
-            (t for t in times[len(values):] if -(total + rate * (t - prev)) > _MAX_EXPONENT),
-            times[len(values)],
-        )
-        raise NonFiniteResult(
-            f"{curve} curve at t = {t}: exp({-(total + rate * (t - prev))}) overflows"
-        ) from None
-    return values
+    for node, rate in zip(node_times, rates):
+        hi = bisect_right(times, node, lo)
+        values += _exp_slice(curve, times[lo:hi], total, rate, prev)
+        if hi == len(times):
+            return values
+        total += rate * (node - prev)
+        prev = node
+        lo = hi
+    return values + _exp_slice(curve, times[lo:], total, rates[-1], prev)
+
+
+def _exp_slice(
+    curve: str, times: Sequence[float], total: float, rate: float, prev: float
+) -> list[float]:
+    """exp(-(total + rate * (t - prev))) at each t of an ascending slice of one segment.
+
+    The exponent is monotone in t, rounding included, so if any t overflows, one
+    end of the slice does; then the first such t raises NonFiniteResult.
+    """
+    if times:
+        head = -(total + rate * (times[0] - prev))
+        tail = -(total + rate * (times[-1] - prev))
+        if head > _MAX_EXPONENT or tail > _MAX_EXPONENT:
+            t = next(t for t in times if -(total + rate * (t - prev)) > _MAX_EXPONENT)
+            raise NonFiniteResult(
+                f"{curve} curve at t = {t}: exp({-(total + rate * (t - prev))}) overflows"
+            )
+    return [exp(-(total + rate * (t - prev))) for t in times]
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,10 @@ def replication_report(
     )
 
 
+# mc_check's largest path count: its uniforms alone take 8 bytes a path, 800 MB here.
+_MAX_MC_PATHS = 10**8
+
+
 def mc_check(
     discount: DiscountCurve,
     survival: SurvivalCurve,
@@ -384,15 +388,15 @@ def mc_check(
     Default buckets are drawn with a counter-based generator (Philox keyed on
     the seed), so draw i is a pure function of (seed, i): results are bitwise
     reproducible for a given seed regardless of how paths are evaluated. The
-    seed is the 128-bit Philox key. The paths are counted per bucket, so the
+    seed is the 128-bit Philox key; n_paths lies in [1000, 10**8]. The paths are counted per bucket, so the
     moments are O(N) sums over the N + 1 residuals of the market's cashflow
     table. numpy is imported here, so that pricing and the enumerated report
     never load it.
     """
     import numpy as np
 
-    if n_paths < 1000:
-        raise ConfigError(f"mc paths: need at least 1000, got {n_paths}")
+    if not 1000 <= n_paths <= _MAX_MC_PATHS:
+        raise ConfigError(f"mc paths: must lie in [1000, {_MAX_MC_PATHS}], got {n_paths}")
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     g = _grid(discount, survival, schedule)

@@ -140,6 +140,21 @@ class TestConfigValidation:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config file ")
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe" + json.dumps(F1_CONFIG).encode(), b"[" * 200_000,
+         b'{"cds_quote": 1' + b"0" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "integer-past-digit-limit"],
+    )
+    def test_unreadable_config_file_rejected(self, tmp_path, capsys, raw):
+        path = tmp_path / "market.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "--config", str(path), "price")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config file ")
+        assert "Traceback" not in err
+
     def test_roundtrip_parse_serialize_parse(self):
         with_quotes = dict(F1_CONFIG, quotes={"cds_bid": 0.01, "cds_ask": 0.012,
                                               "aswc_bid": 0.009, "aswc_ask": 0.011})
@@ -312,6 +327,7 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
     "payload,argv,code",
     [
         (F1_CONFIG, ("replicate", "--mc", "10"), 2),
+        (F1_CONFIG, ("replicate", "--mc", str(10**20)), 2),
         (F1_CONFIG, ("replicate", "--mc", "2000", "--seed", "-1"), 2),
         (_with("repo", maturity=2.5), ("replicate",), 2),
         (_with("repo", maturity=2.5), ("price",), 2),
@@ -338,7 +354,7 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
         (ABSURD_SPREAD, ("price",), 3),
         (ABSURD_SPREAD, ("replicate",), 3),
     ],
-    ids=["mc-paths", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
+    ids=["mc-paths", "mc-paths-above-cap", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
          "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
          "discount-nodes-out-of-order", "hazard-nodes-repeated-time", "non-finite-price",
          "non-finite-replicate", "repo-past-bond-maturity", "repo-past-bond-maturity-price",
@@ -384,12 +400,16 @@ def test_overflowing_discount_factor_exits_3_naming_the_curve(config_file, capsy
         (dict(F1_CONFIG, discount_nodes=[[5.0]]), "discount_nodes[0]"),
         (dict(F1_CONFIG, discount_nodes=[[0.0, 0.02]]), "discount_nodes[0].time"),
         (_with("bond", coupon=math.inf), "bond.coupon"),
+        (_with("bond", coupon=10**400), "bond.coupon"),
+        (dict(F1_CONFIG, discount_nodes=[[10**400, 0.02]]), "discount_nodes[0].time"),
+        (_with("repo", spread=10**400), "repo.spread"),
     ],
     ids=["bond-unknown", "repo-unknown", "quotes-unknown", "bond-not-object", "repo-not-object",
          "quotes-not-object", "root-not-object", "quotes-missing-cds-ask", "repo-maturity-zero",
          "repo-forward-price-FAIR", "discount-nodes-out-of-order", "frequency-not-integer",
          "discount-nodes-empty", "discount-node-not-pair", "discount-node-time-zero",
-         "coupon-infinite"],
+         "coupon-infinite", "coupon-integer-past-float", "discount-node-time-integer-past-float",
+         "repo-spread-integer-past-float"],
 )
 def test_single_fault_config_names_its_path(config_file, capsys, payload, path):
     code, out, err = run_cli(capsys, "--config", config_file(payload), "price")

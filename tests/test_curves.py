@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsreplica import (
+    DegenerateAnnuity,
     DiscountCurve,
     InvalidInterval,
     NonFiniteResult,
     QuoteUnattainable,
+    Schedule,
     SurvivalCurve,
     TimeBeforeAnchor,
     build_schedule,
@@ -328,3 +330,21 @@ def test_overflow_names_the_first_time_that_overflows():
     # exp(500) is finite, exp(1000) is not: t = 2.0, not the first time of the segment
     with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 2\.0: exp\(1000\.0\) overflows"):
         curves._exp_integrals("discount", 0.0, (10.0,), (-500.0,), [0.0, 1.0, 2.0, 3.0])
+
+
+def test_an_infinite_exponent_overflows_too():
+    # -1e308 * 2 is -inf, and exp(inf) is inf without an OverflowError; at t = 0.5 the
+    # exponent 5e307 is finite and exp raises
+    curve = DiscountCurve((1.0,), (-1e308,))
+    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 0\.5: exp\(5e\+307\) overflows"):
+        curve.discount_factor(0.5)
+    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 2\.0: exp\(inf\) overflows"):
+        curve.discount_factor(2.0)
+    with pytest.raises(NonFiniteResult, match=r"^discount curve at t = 2\.0: exp\(inf\) overflows"):
+        forward_fixings(curve, Schedule(0.0, (2.0,)))
+
+
+def test_grid_rejects_a_nan_discount_factor():
+    # 0 * inf is NaN, so the last factor is exp(nan): no overflow, and not positive either
+    with pytest.raises(DegenerateAnnuity, match="not positive"):
+        curves._grid(DiscountCurve.flat(0.0), SurvivalCurve.flat(0.0), Schedule(0.0, (1.0, math.inf)))

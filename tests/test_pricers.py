@@ -13,6 +13,7 @@ from cdsreplica import (
     MaturityNotOnGrid,
     NonFiniteResult,
     RepoSpec,
+    Schedule,
     SurvivalCurve,
     annuity_defaultable,
     annuity_riskfree,
@@ -81,6 +82,11 @@ class TestRiskfreeBond:
         assert price_riskfree_bond(f1.discount, f1.schedule, 0.05) == pytest.approx(
             expected, abs=TOL
         )
+
+    def test_infinite_discount_exponent_is_a_non_finite_result(self):
+        # the integral -1e308 * 2 is -inf: P(2) = exp(inf) is inf, not a price
+        with pytest.raises(NonFiniteResult, match="discount curve at t = 2.0"):
+            price_riskfree_bond(DiscountCurve((1.0,), (-1e308,)), Schedule(0.0, (2.0,)), 0.05)
 
 
 class TestRiskyBond:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cdsreplica.replication as replication
 from cdsreplica import (
     BondSpec,
+    ConfigError,
     DiscountCurve,
     InconsistentSpecs,
     Leg,
@@ -347,6 +348,13 @@ class TestMcCheck:
             mc_check(
                 f1.discount, f1.survival, f1.schedule, f1.bond,
                 RepoSpec(spread=0.001), True, 999, seed=1,
+            )
+
+    def test_too_many_paths_rejected_before_drawing(self, f1):
+        with pytest.raises(ConfigError, match=r"^mc paths: must lie in \[1000, 100000000\]"):
+            mc_check(
+                f1.discount, f1.survival, f1.schedule, f1.bond,
+                RepoSpec(spread=0.001), True, replication._MAX_MC_PATHS + 1, seed=1,
             )
 
     def test_builds_one_grid_and_no_report(self, f1, monkeypatch):
