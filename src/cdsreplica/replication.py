@@ -369,7 +369,7 @@ def replication_report(
     )
 
 
-# mc_check's largest path count: its uniforms alone take 8 bytes a path, 800 MB here.
+# mc_check's largest path count: its uniforms alone take 8 bytes a path, 800 MB at the cap.
 _MAX_MC_PATHS = 10**8
 
 
@@ -388,10 +388,10 @@ def mc_check(
     Default buckets are drawn with a counter-based generator (Philox keyed on
     the seed), so draw i is a pure function of (seed, i): results are bitwise
     reproducible for a given seed regardless of how paths are evaluated. The
-    seed is the 128-bit Philox key; n_paths lies in [1000, 10**8]. The paths are counted per bucket, so the
-    moments are O(N) sums over the N + 1 residuals of the market's cashflow
-    table. numpy is imported here, so that pricing and the enumerated report
-    never load it.
+    seed is the 128-bit Philox key, and n_paths lies in [1000, 10**8]. The
+    paths are counted per bucket, so the moments are O(N) sums over the N + 1
+    residuals of the market's cashflow table. numpy is imported here, so that
+    pricing and the enumerated report never load it.
     """
     import numpy as np
 
