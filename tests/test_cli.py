@@ -354,8 +354,8 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
         (ABSURD_SPREAD, ("price",), 3),
         (ABSURD_SPREAD, ("replicate",), 3),
     ],
-    ids=["mc-paths", "mc-paths-above-cap", "mc-seed", "repo-off-grid", "repo-off-grid-price", "frequency",
-         "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
+    ids=["mc-paths", "mc-paths-above-cap", "mc-seed", "repo-off-grid", "repo-off-grid-price",
+         "frequency", "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
          "discount-nodes-out-of-order", "hazard-nodes-repeated-time", "non-finite-price",
          "non-finite-replicate", "repo-past-bond-maturity", "repo-past-bond-maturity-price",
          "repo-to-maturity-off-par-forward", "repo-to-maturity-off-par-forward-price",
