@@ -13,18 +13,18 @@ payout. Booking them gross keeps each leg's enumerated value equal to its
 instrument's price.
 
 Every scenario's ledger is a slice of one per-market cashflow table, held
-as per-leg columns of amounts:
-- the opening at t0: bond, repo and asset swap;
+as four blocks of per-leg columns of amounts:
+- the opening at t0: a bond, a repo and an asset swap column of one entry;
 - the coupons of periods 1..L: a bond, a repo, an asset swap and a CDS
   column, entry k paid at t_k;
 - the settlement of a default in bucket b = 1..L, paid at t_b: a bond, a
   repo and a CDS column, and an asset swap column (the close-out) with the
   clause off;
-- the survival unwind at t_L: bond and repo.
+- the survival unwind at t_L: a bond and a repo column of one entry.
 A default in bucket b sees the opening, the coupons before b and its
 settlement; survival sees the opening, every coupon and the unwind. Each
-column is discounted once, amount * P_k in one comprehension with the CDS
-negated; a scenario residual is one exact sum over its slice.
+column is discounted and checked once (_discounted), and a scenario residual
+is one exact sum over its slice, with the CDS negated.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from math import fsum
 from typing import Iterable, NamedTuple
 
@@ -96,20 +95,18 @@ class CashflowLedger:
 
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
-        dfs = {t: discount.discount_factor(t) for t in {e.time for e in self.entries}}
-        terms = [_discounted(e.leg, [e.amount], [dfs[e.time]])[0] for e in self.entries]
-        _check_finite([terms], ((e.leg, f"t = {e.time}") for e in self.entries))
-        return _residual(terms)
+        return _residual([t for c in self._discounted(discount, Leg) for t in _signed(*c)])
 
-
-def _check_finite(groups: list[list[float]], labels: Iterable[tuple[Leg, str]]) -> None:
-    """NonFiniteResult naming the (leg, date) label of the first term of groups that is not
-    finite: one C-level pass when all are, and labels is read only on failure."""
-    if not all(map(math.isfinite, chain.from_iterable(groups))):
-        leg, date = next(label for label, term in zip(labels, chain.from_iterable(groups))
-                         if not math.isfinite(term))
-        name = leg.value.replace("_", " ")
-        raise NonFiniteResult(f"discounted {name} cashflow at {date} is not a finite number")
+    def _discounted(self, discount: DiscountCurve, legs: Iterable[Leg]) -> list[_Column]:
+        """Each of legs' entries, in entry order, as one discounted column (_discounted),
+        checked leg by leg."""
+        columns = [(leg, [e for e in self.entries if e.leg is leg]) for leg in legs]
+        dfs = {t: discount.discount_factor(t) for t in {e.time for _, c in columns for e in c}}
+        return [
+            (leg, _discounted((leg, [e.amount for e in c]), [dfs[e.time] for e in c],
+                              (f"t = {e.time}" for e in c)))
+            for leg, c in columns
+        ]
 
 
 def _residual(terms: list[float]) -> float:
@@ -160,15 +157,12 @@ def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[Def
     return [DefaultScenario(k, p) for k, p in _buckets(default_distribution(survival, schedule))]
 
 
-_OPENING_LEGS = (Leg.BOND, Leg.REPO, Leg.ASSET_SWAP)  # at t0
-_UNWIND_LEGS = (Leg.BOND, Leg.REPO)  # at t_L
-
-_Column = tuple[Leg, list[float]]  # one leg's amounts, paid at t_1, ..., t_L
+_Column = tuple[Leg, list[float]]  # one leg's amounts, on consecutive dates of the grid
 
 
 def _exact_parts(values: list[float]) -> list[float]:
     """A few floats whose exact sum is that of values: fsum, then fsum of what it
-    rounded away, until nothing is left. values are finite (_check_finite)."""
+    rounded away, until nothing is left. values are finite (_discounted)."""
     parts: list[float] = []
     rest = fsum(values)
     while rest:
@@ -178,31 +172,45 @@ def _exact_parts(values: list[float]) -> list[float]:
     return parts
 
 
-def _discounted(leg: Leg, amounts: list[float], dfs: list[float]) -> list[float]:
-    """Each amount's discounted share of the residual, amount * P: the CDS counts
-    against the portfolio, so its amounts are negated first."""
-    if leg is Leg.CDS:
-        return [-amount * df for amount, df in zip(amounts, dfs)]
-    return [amount * df for amount, df in zip(amounts, dfs)]
+def _discounted(column: _Column, dfs: Iterable[float], dates: Iterable[str]) -> list[float]:
+    """amount * P for each amount of the column and its discount factor in dfs.
+
+    A term that is not finite raises NonFiniteResult naming the column's leg and
+    the term's date, its item of dates: one C-level pass when every term is
+    finite, and dates is read only on failure.
+    """
+    leg, amounts = column
+    terms = [amount * df for amount, df in zip(amounts, dfs)]
+    if not all(map(math.isfinite, terms)):
+        date = next(date for date, term in zip(dates, terms) if not math.isfinite(term))
+        name = leg.value.replace("_", " ")
+        raise NonFiniteResult(f"discounted {name} cashflow at {date} is not a finite number")
+    return terms
+
+
+def _signed(leg: Leg, terms: list[float]) -> list[float]:
+    """A column's discounted terms as shares of the residual: the CDS counts against
+    the portfolio, so its terms are negated, which is exact."""
+    return [-term for term in terms] if leg is Leg.CDS else terms
 
 
 class _CashflowTable(NamedTuple):
-    """Every cashflow of one market, each written down once, as per-leg columns.
+    """Every cashflow of one market, each written down once, as four blocks of per-leg columns.
 
-    opening holds the amounts at t0 of _OPENING_LEGS; periods holds the bond,
-    repo, asset swap and CDS columns of the coupons of periods 1..L;
+    opening holds the bond, repo and asset swap amounts at t0; periods holds
+    the bond, repo, asset swap and CDS columns of the coupons of periods 1..L;
     settlements holds the bond, repo, asset swap (with the clause off only)
     and CDS columns of the settlement of a default in bucket b = 1..L, paid at
-    t_b; unwind holds the amounts at t_L of _UNWIND_LEGS, the survival unwind.
+    t_b; unwind holds the bond and repo amounts at t_L, the survival unwind.
     """
 
     last: int  # L: the periods the repo runs
     times: tuple[float, ...]  # t0, t_1, ..., t_N
     p: list[float]  # P at the same times
-    opening: list[float]
+    opening: list[_Column]
     periods: list[_Column]
     settlements: list[_Column]
-    unwind: list[float]
+    unwind: list[_Column]
     forward_price: float  # the deal the table books: X and the two spreads
     asw_spread: float
     cds_spread: float
@@ -214,51 +222,36 @@ class _CashflowTable(NamedTuple):
         t, last = self.times, self.last
         defaulted = bucket is not None and bucket <= last
         survived = bucket - 1 if defaulted else last
-        entries = [CashflowEntry(t[0], leg, a) for leg, a in zip(_OPENING_LEGS, self.opening)]
-        entries += [
-            CashflowEntry(t[k], leg, amounts[k - 1])
-            for k in range(1, survived + 1)
-            for leg, amounts in self.periods
+        rows = [  # (block, k, j): entry j of each column of the block, paid at t_k
+            (self.opening, 0, 0),
+            *((self.periods, k, k - 1) for k in range(1, survived + 1)),
+            (self.settlements, bucket, bucket - 1) if defaulted else (self.unwind, last, 0),
         ]
-        if defaulted:
-            entries += [CashflowEntry(t[bucket], leg, a[bucket - 1]) for leg, a in self.settlements]
-        else:
-            entries += [CashflowEntry(t[last], leg, a) for leg, a in zip(_UNWIND_LEGS, self.unwind)]
-        return tuple(entries)
+        return tuple(CashflowEntry(t[k], leg, a[j]) for block, k, j in rows for leg, a in block)
 
     def residuals(self) -> list[float]:
         """Residuals of default buckets 1..N, then of survival, over the terms of their entries.
 
-        Each amount is discounted once, column by column, and a discounted
-        amount that is not finite raises NonFiniteResult. The scenarios share
-        the opening and the periods survived, so that prefix is carried
-        forward as its _exact_parts: each residual is one fsum over O(1)
-        values, equal bit for bit to the fsum over its whole slice, because
-        fsum is correctly rounded.
+        Each column is discounted and checked once (_discounted), the blocks in
+        the order opening, periods, unwind, settlements. The scenarios share the
+        opening and the periods survived, so that prefix is carried forward as
+        its _exact_parts: each residual is one fsum over O(1) values, equal bit
+        for bit to the fsum over its whole slice, because fsum is correctly rounded.
         """
         p, last = self.p, self.last
-        dfs = p[1 : last + 1]
-        opening = [a * p[0] for a in self.opening]
-        periods = [_discounted(leg, amounts, dfs) for leg, amounts in self.periods]
-        settlements = [_discounted(leg, amounts, dfs) for leg, amounts in self.settlements]
-        unwind = [a * p[last] for a in self.unwind]
-        dates = range(1, last + 1)
-        _check_finite(
-            [opening, *periods, unwind, *settlements],
-            chain(
-                ((leg, "t_0") for leg in _OPENING_LEGS),
-                ((leg, f"t_{k}") for leg, _ in self.periods for k in dates),
-                ((leg, f"t_{last}") for leg in _UNWIND_LEGS),
-                ((leg, f"t_{k}") for leg, _ in self.settlements for k in dates),
-            ),
+        blocks = (self.opening, 0), (self.periods, 1), (self.unwind, last), (self.settlements, 1)
+        opening, periods, unwind, settlements = (  # entry j of a column of block b paid at t_{k+j}
+            [_signed(c[0], _discounted(c, p[k:], map("t_{}".format, range(k, len(p))))) for c in b]
+            for b, k in blocks
         )
-        prefix = _exact_parts(opening)
+        prefix = _exact_parts([term for (term,) in opening])
         residuals = []
         for period, settlement in zip(zip(*periods), zip(*settlements)):
             residuals.append(_residual([*prefix, *settlement]))
             prefix = _exact_parts([*prefix, *period])
         # survival, and every default after the unwind, see every coupon and the unwind
-        return residuals + [_residual(prefix + unwind)] * (len(self.times) - last)
+        survival = _residual([*prefix, *(term for (term,) in unwind)])
+        return residuals + [survival] * (len(self.times) - last)
 
 
 def _cashflow_table(
@@ -298,10 +291,15 @@ def _cashflow_table(
         *([] if mtm_values is None else [(Leg.ASSET_SWAP, mtm_values)]),
         (Leg.CDS, [-bond.lgd * r for r in rolled]),
     ]
+    opening = [
+        (Leg.BOND, [-bond_price]),
+        (Leg.REPO, [fwd_price]),
+        (Leg.ASSET_SWAP, [bond_price - fwd_price]),
+    ]
+    unwind = [(Leg.BOND, [terminal_price]), (Leg.REPO, [-fwd_price])]
     return _CashflowTable(
-        last, (schedule.t0, *schedule.dates), g.p,
-        [-bond_price, fwd_price, bond_price - fwd_price], periods, settlements,
-        [terminal_price, -fwd_price], fwd_price, asw_spread, cds_spread,
+        last, (schedule.t0, *schedule.dates), g.p, opening, periods, settlements, unwind,
+        fwd_price, asw_spread, cds_spread,
     )
 
 
