@@ -86,12 +86,10 @@ class CashflowLedger:
     entries: tuple[CashflowEntry, ...]
 
     def pv(self, discount: DiscountCurve, leg: Leg | None = None) -> float:
-        """Discounted value at t0 of the entries (of one leg, or all)."""
-        return fsum(
-            e.amount * discount.discount_factor(e.time)
-            for e in self.entries
-            if leg is None or e.leg is leg
-        )
+        """Discounted value at t0 of the entries (of one leg, or all), the CDS counted
+        positive; a discounted entry that is not finite raises NonFiniteResult."""
+        legs = Leg if leg is None else (leg,)
+        return fsum(t for _, terms in self._discounted(discount, legs) for t in terms)
 
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""

@@ -188,6 +188,21 @@ class TestPortfolioLedger:
         with pytest.raises(NonFiniteResult, match="discounted repo cashflow at t = 1.0 "):
             ledger.residual(discount)
 
+    def test_overflowing_row_fails_the_pv_as_the_residual(self, f1):
+        # the repo leg's value is not a finite number: pv names it as residual does
+        discount = DiscountCurve((5.0,), (-100.0,))
+        ledger = portfolio_ledger(
+            discount, f1.survival, f1.schedule, BondSpec(0.05, 0.4), RepoSpec(1e300),
+            0.012, 0.013, True, survival_scenario(f1.survival, f1.schedule),
+        )
+        for leg in (Leg.REPO, None):
+            with pytest.raises(NonFiniteResult, match="discounted repo cashflow at t = 1.0 "):
+                ledger.pv(discount, leg)
+        # the finite legs still price, the CDS counted positive
+        assert ledger.pv(discount, Leg.CDS) == math.fsum(
+            e.amount * discount.discount_factor(e.time) for e in ledger.entries if e.leg is Leg.CDS
+        ) > 0.0
+
 
 class TestReplicationReport:
     def test_clause_on_replicates_pathwise(self, f1):
