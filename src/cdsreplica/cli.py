@@ -40,7 +40,7 @@ from .pricers import (  # noqa: F401
     price_risky_floater,
 )
 from .replication import mc_check, replication_report
-from .schedule import Schedule, build_schedule
+from .schedule import VALID_FREQUENCIES, Schedule, build_schedule
 
 REPLICATION_TOL = 1e-10
 
@@ -70,9 +70,11 @@ def _number_where(holds, rule: str):
 _positive = _number_where(lambda x: x > 0.0, "must be positive")
 
 
-def _integer(value, path: str) -> int:
+def _frequency(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if value not in VALID_FREQUENCIES:  # not echoed: an integer may have hundreds of digits
+        raise ConfigError(f"{path}: must be one of {VALID_FREQUENCIES}")
     return value
 
 
@@ -115,7 +117,7 @@ class BondConfig(BondSpec):
     coupon: float = _field(_require_number)
     recovery: float = _field(_number_where(lambda r: 0.0 <= r < 1.0, "must lie in [0, 1)"))
     maturity: float = _field(_positive)
-    frequency: int = _field(_integer)
+    frequency: int = _field(_frequency)
 
 
 @dataclass(frozen=True)

@@ -403,19 +403,28 @@ def test_overflowing_discount_factor_exits_3_naming_the_curve(config_file, capsy
         (_with("bond", coupon=10**400), "bond.coupon"),
         (dict(F1_CONFIG, discount_nodes=[[10**400, 0.02]]), "discount_nodes[0].time"),
         (_with("repo", spread=10**400), "repo.spread"),
+        (_with("bond", frequency=3), "bond.frequency"),
+        (_with("bond", frequency=10**400), "bond.frequency"),
     ],
     ids=["bond-unknown", "repo-unknown", "quotes-unknown", "bond-not-object", "repo-not-object",
          "quotes-not-object", "root-not-object", "quotes-missing-cds-ask", "repo-maturity-zero",
          "repo-forward-price-FAIR", "discount-nodes-out-of-order", "frequency-not-integer",
          "discount-nodes-empty", "discount-node-not-pair", "discount-node-time-zero",
          "coupon-infinite", "coupon-integer-past-float", "discount-node-time-integer-past-float",
-         "repo-spread-integer-past-float"],
+         "repo-spread-integer-past-float", "frequency-not-valid", "frequency-integer-past-float"],
 )
 def test_single_fault_config_names_its_path(config_file, capsys, payload, path):
     code, out, err = run_cli(capsys, "--config", config_file(payload), "price")
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+
+def test_frequency_error_does_not_echo_the_value(config_file, capsys):
+    payload = _with("bond", frequency=10**400)
+    code, out, err = run_cli(capsys, "--config", config_file(payload), "price")
+    assert (code, out) == (2, "")
+    assert err == "error: bond.frequency: must be one of (1, 2, 4, 12)\n"
 
 
 def test_nan_residual_exits_4(config_file, capsys, monkeypatch):
