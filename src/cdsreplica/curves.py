@@ -64,10 +64,12 @@ def _exp_integrals(
     and evaluates it in one comprehension, from the integral up to its start;
     times past the last node extrapolate its rate flat. An exponential that
     overflows, an infinite exponent included, raises NonFiniteResult naming
-    the curve and the time.
+    the curve and the time; a time that is not finite raises InvalidInterval.
     """
     if times[0] < t0:
         raise TimeBeforeAnchor(f"time {times[0]} precedes curve anchor {t0}")
+    if not math.isfinite(times[-1]):  # the times ascend: an infinite one is the last
+        raise InvalidInterval(f"time {times[-1]} is not finite")
     values: list[float] = []
     total = 0.0
     prev = t0

@@ -7,6 +7,7 @@ stubs, and roll conventions are out of scope.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -40,6 +41,8 @@ class Schedule:
                 raise ValueError("dates must be strictly increasing and after t0")
             accruals.append(t - prev)
             prev = t
+        if not (math.isfinite(self.t0) and math.isfinite(prev)):  # prev: the last date
+            raise ValueError("t0 and the dates must be finite")
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "accruals", tuple(accruals))
 

@@ -342,7 +342,17 @@ def test_an_infinite_exponent_overflows_too():
 
 
 def test_grid_rejects_a_nan_discount_factor():
-    # 0 * inf is NaN, so the last factor is exp(nan): no overflow, and not positive either
-    schedule = Schedule(0.0, (1.0, math.inf))
+    # the integral to t = 2 is inf, and at t = 4 it is inf - inf: the factor is exp(nan),
+    # no overflow, and not positive either
+    schedule = Schedule(0.0, (4.0,))
     with pytest.raises(DegenerateAnnuity, match="not positive"):
-        curves._grid(DiscountCurve.flat(0.0), SurvivalCurve.flat(0.0), schedule)
+        curves._grid(DiscountCurve((2.0, 5.0), (1e308, -1e308)), SurvivalCurve.flat(0.0), schedule)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_non_finite_time_rejected(t):
+    # 0 * inf would make the factor NaN; the last of the ascending times is checked first
+    with pytest.raises(InvalidInterval, match=f"^time {t} is not finite"):
+        DiscountCurve.flat(0.0).discount_factor(t)
+    with pytest.raises(InvalidInterval, match=f"^time {t} is not finite"):
+        SurvivalCurve.flat(0.0)._at((0.0, 1.0, t))

@@ -89,6 +89,7 @@ def test_nonzero_anchor():
         dict(t0=0.0, dates=(0.0, 1.0)),
         dict(t0=0.0, dates=()),
         dict(t0=2.0, dates=(1.0,)),
+        dict(t0=0.0, dates=(1.0, math.inf)),
     ],
 )
 def test_invalid_schedules_rejected(bad):
