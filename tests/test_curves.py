@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsreplica import (
+    DefaultDistribution,
     DegenerateAnnuity,
     DiscountCurve,
     InvalidInterval,
@@ -61,7 +62,8 @@ class TestDiscountCurve:
 
     @pytest.mark.parametrize(
         "nodes,rates",
-        [((1.0, 1.0), (0.01, 0.02)), ((2.0, 1.0), (0.01, 0.02)), ((), ()), ((1.0,), (0.01, 0.02))],
+        [((1.0, 1.0), (0.01, 0.02)), ((2.0, 1.0), (0.01, 0.02)), ((), ()), ((1.0,), (0.01, 0.02)),
+         ((1.0,), (math.inf,))],
     )
     def test_bad_segments_rejected(self, nodes, rates):
         with pytest.raises(ValueError):
@@ -126,6 +128,14 @@ class TestDefaultDistribution:
             expected = math.exp(-0.02 * (k - 1)) - math.exp(-0.02 * k)
             assert dist.bucket_probs[k - 1] == pytest.approx(expected, abs=1e-15)
         assert dist.survival_prob == pytest.approx(math.exp(-0.1), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "buckets,survival,match",
+        [((0.6, -0.1), 0.5, "non-negative"), ((0.5,), 1.5, r"\[0, 1\]"), ((0.5,), 0.4, "sum to")],
+    )
+    def test_invalid_distribution_rejected(self, buckets, survival, match):
+        with pytest.raises(ValueError, match=match):
+            DefaultDistribution(buckets, survival)
 
     @given(seed=st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)

@@ -461,6 +461,15 @@ def test_non_finite_repo_spec_rejected(fields):
         RepoSpec(**fields)
 
 
+@pytest.mark.parametrize(
+    "fields,match",
+    [(dict(coupon=math.inf, recovery=0.4), "finite"), (dict(coupon=0.05, recovery=1.5), "recovery")],
+)
+def test_invalid_bond_spec_rejected(fields, match):
+    with pytest.raises(ValueError, match=match):
+        BondSpec(**fields)
+
+
 def test_premium_bond_lowers_clause_spread(f1):
     """The break clause cancels a liability of the holder of a premium bond, so
     its par spread sits below the standard one; discount bonds flip the sign.

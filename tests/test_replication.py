@@ -26,6 +26,7 @@ from cdsreplica import (
     mtm_profile,
     portfolio_ledger,
     price_risky_bond,
+    price_sheet,
     replication_report,
 )
 from markets import random_discount, random_market, random_survival
@@ -236,6 +237,13 @@ class TestReplicationReport:
             replication_report(
                 discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=1e300), clause
             )
+
+    def test_non_positive_forward_price_rejected(self, f1):
+        # the CLI's parser stops it first; the library names it itself
+        repo = RepoSpec(spread=0.0, maturity=3.0, forward_price=-0.5)
+        for price in (price_sheet, lambda *market: replication_report(*market, True)):
+            with pytest.raises(InconsistentSpecs, match="forward price must be positive"):
+                price(f1.discount, f1.survival, f1.schedule, f1.bond, repo)
 
     def test_riskless_world_is_clause_insensitive(self, f1):
         # with no hazard the default branches carry zero probability, so the
