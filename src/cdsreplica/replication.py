@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import Iterable, NamedTuple
+from operator import mul, neg
+from typing import Callable, Iterable, NamedTuple
 
 from .curves import (
     DefaultDistribution,
@@ -89,20 +90,20 @@ class CashflowLedger:
         """Discounted value at t0 of the entries (of one leg, or all), the CDS counted
         positive; a discounted entry that is not finite raises NonFiniteResult."""
         legs = Leg if leg is None else (leg,)
-        return fsum(t for _, terms in self._discounted(discount, legs) for t in terms)
+        return fsum(t for _, terms in self._columns(discount, legs) for t in terms)
 
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
-        return _residual([t for c in self._discounted(discount, Leg) for t in _signed(*c)])
+        return _residual([t for c in self._columns(discount, Leg) for t in _signed(*c)])
 
-    def _discounted(self, discount: DiscountCurve, legs: Iterable[Leg]) -> list[_Column]:
+    def _columns(self, discount: DiscountCurve, legs: Iterable[Leg]) -> list[_Column]:
         """Each of legs' entries, in entry order, as one discounted column (_discounted),
         checked leg by leg."""
         columns = [(leg, [e for e in self.entries if e.leg is leg]) for leg in legs]
         dfs = {t: discount.discount_factor(t) for t in {e.time for _, c in columns for e in c}}
         return [
             (leg, _discounted((leg, [e.amount for e in c]), [dfs[e.time] for e in c],
-                              (f"t = {e.time}" for e in c)))
+                              lambda j: f"t = {c[j].time}"))
             for leg, c in columns
         ]
 
@@ -170,26 +171,26 @@ def _exact_parts(values: list[float]) -> list[float]:
     return parts
 
 
-def _discounted(column: _Column, dfs: Iterable[float], dates: Iterable[str]) -> list[float]:
+def _discounted(column: _Column, dfs: Iterable[float], date: Callable[[int], str]) -> list[float]:
     """amount * P for each amount of the column and its discount factor in dfs.
 
-    A term that is not finite raises NonFiniteResult naming the column's leg and
-    the term's date, its item of dates: one C-level pass when every term is
-    finite, and dates is read only on failure.
+    The first term j that is not finite raises NonFiniteResult naming the
+    column's leg and date(j): one C-level pass when every term is finite, and
+    date is called only on failure.
     """
     leg, amounts = column
-    terms = [amount * df for amount, df in zip(amounts, dfs)]
+    terms = list(map(mul, amounts, dfs))
     if not all(map(math.isfinite, terms)):
-        date = next(date for date, term in zip(dates, terms) if not math.isfinite(term))
+        j = next(j for j, term in enumerate(terms) if not math.isfinite(term))
         name = leg.value.replace("_", " ")
-        raise NonFiniteResult(f"discounted {name} cashflow at {date} is not a finite number")
+        raise NonFiniteResult(f"discounted {name} cashflow at {date(j)} is not a finite number")
     return terms
 
 
 def _signed(leg: Leg, terms: list[float]) -> list[float]:
     """A column's discounted terms as shares of the residual: the CDS counts against
     the portfolio, so its terms are negated, which is exact."""
-    return [-term for term in terms] if leg is Leg.CDS else terms
+    return list(map(neg, terms)) if leg is Leg.CDS else terms
 
 
 class _CashflowTable(NamedTuple):
@@ -239,7 +240,7 @@ class _CashflowTable(NamedTuple):
         p, last = self.p, self.last
         blocks = (self.opening, 0), (self.periods, 1), (self.unwind, last), (self.settlements, 1)
         opening, periods, unwind, settlements = (  # entry j of a column of block b paid at t_{k+j}
-            [_signed(c[0], _discounted(c, p[k:], map("t_{}".format, range(k, len(p))))) for c in b]
+            [_signed(c[0], _discounted(c, p[k:], lambda j: f"t_{k + j}")) for c in b]
             for b, k in blocks
         )
         prefix = _exact_parts([term for (term,) in opening])
