@@ -361,7 +361,7 @@ def test_grid_rejects_a_nan_discount_factor():
 
 @pytest.mark.parametrize("t", [math.inf, math.nan])
 def test_non_finite_time_rejected(t):
-    # 0 * inf would make the factor NaN; the last of the ascending times is checked first
+    # 0 * inf would make the factor NaN: the last of the ascending times is checked up front
     with pytest.raises(InvalidInterval, match=f"^time {t} is not finite"):
         DiscountCurve.flat(0.0).discount_factor(t)
     with pytest.raises(InvalidInterval, match=f"^time {t} is not finite"):
