@@ -104,6 +104,25 @@ def _exp_slice(
     return [exp(-(total + rate * (t - prev))) for t in times]
 
 
+def _memo(curve, schedule: Schedule, evaluate):
+    """evaluate(curve, schedule), kept on the curve as its last evaluation (schedule, values).
+
+    A call hits only when the stored schedule is the very object passed in: the
+    memo holds it, so its identity cannot be reused, and values are never
+    compared. An evaluation that raises stores nothing. The memo is a plain
+    attribute set past the frozen dataclass, so it stays out of ==, hash, repr,
+    fields, asdict and replace, and dies with the curve. Its one store of an
+    immutable tuple keeps the curve safe to share across threads: a race only
+    evaluates twice.
+    """
+    last = getattr(curve, "_last", None)
+    if last is not None and last[0] is schedule:
+        return last[1]
+    values = evaluate(curve, schedule)
+    object.__setattr__(curve, "_last", (schedule, values))
+    return values
+
+
 @dataclass(frozen=True)
 class DiscountCurve:
     """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate)."""
@@ -124,6 +143,10 @@ class DiscountCurve:
     def _at(self, times: Sequence[float]) -> list[float]:
         """P at each of the ascending times."""
         return _exp_integrals("discount", self.t0, self.node_times, self.fwd_rates, times)
+
+    def _on(self, schedule: Schedule) -> _Discounting:
+        """(P, eps) on the schedule (see _Grid), P checked positive; evaluated once per schedule."""
+        return _memo(self, schedule, _discount_on)
 
     def discount_factor(self, t: float) -> float:
         return self._at((t,))[0]
@@ -159,21 +182,26 @@ class SurvivalCurve:
         """Q at each of the ascending times."""
         return _exp_integrals("survival", self.t0, self.node_times, self.hazards, times)
 
+    def _on(self, schedule: Schedule) -> tuple[float, ...]:
+        """Q at [t0, t_1, ..., t_N]; evaluated once per schedule."""
+        return _memo(self, schedule, _survival_on)
+
     def survival_prob(self, t: float) -> float:
         return self._at((t,))[0]
 
 
 class _Grid(NamedTuple):
-    """One market on one schedule; every pricer is a short sum over these lists.
+    """One market on one schedule; every pricer is a short sum over these sequences.
 
     p and q hold P and Q at [t0, t_1, ..., t_N]; theta and eps hold the accrual
     and the floating fixing of periods 1..N, with eps_k * theta_k = P_{k-1} / P_k - 1.
+    A grid from _grid shares the curves' memoized tuples.
     """
 
     theta: tuple[float, ...]
-    p: list[float]
-    q: list[float]
-    eps: list[float]
+    p: Sequence[float]
+    q: Sequence[float]
+    eps: Sequence[float]
 
     def window(self, start: int, stop: int) -> "_Grid":
         """The grid of periods start+1..stop, anchored at t_start."""
@@ -183,19 +211,27 @@ class _Grid(NamedTuple):
         )
 
 
-def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
-    """theta, P, Q and eps of the market, one pass per curve; no survival curve means Q = 1."""
-    times = [schedule.t0, *schedule.dates]
-    p = discount._at(times)
+_Discounting = tuple[tuple[float, ...], tuple[float, ...]]  # (P, eps) on one schedule
+
+
+def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Discounting:
+    p = tuple(discount._at([schedule.t0, *schedule.dates]))
     if not all(df > 0.0 for df in p):
         raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
-    if survival is None:
-        q = [1.0] * len(times)
-    else:
-        q = survival._at(times)
-    theta = schedule.accruals
-    eps = [(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], theta)]
-    return _Grid(theta, p, q, eps)
+    eps = tuple([(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], schedule.accruals)])
+    return p, eps
+
+
+def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> tuple[float, ...]:
+    return tuple(survival._at([schedule.t0, *schedule.dates]))
+
+
+def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
+    """theta, P, Q and eps of the market, each curve evaluated once per schedule (_memo);
+    no survival curve means Q = 1."""
+    p, eps = discount._on(schedule)
+    q = (1.0,) * len(p) if survival is None else survival._on(schedule)
+    return _Grid(schedule.accruals, p, q, eps)
 
 
 @dataclass(frozen=True)
@@ -221,7 +257,7 @@ class DefaultDistribution:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
 
-def _distribution(q: list[float]) -> DefaultDistribution:
+def _distribution(q: Sequence[float]) -> DefaultDistribution:
     """p_k = Q(t_{k-1}) - Q(t_k) from Q at [t0, t_1, ..., t_N]."""
     return DefaultDistribution(
         bucket_probs=[q0 - q1 for q0, q1 in zip(q, q[1:])], survival_prob=q[-1]
@@ -230,13 +266,12 @@ def _distribution(q: list[float]) -> DefaultDistribution:
 
 def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDistribution:
     """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k)."""
-    times = [schedule.t0, *schedule.dates]
-    return _distribution(curve._at(times))
+    return _distribution(curve._on(schedule))
 
 
 def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float, ...]:
     """Floating fixing of each period: set at t_{k-1}, paid at t_k."""
-    return tuple(_grid(discount, None, schedule).eps)
+    return discount._on(schedule)[1]
 
 
 class _Fit(NamedTuple):

@@ -110,10 +110,10 @@ def _finite(what: str, value: float) -> float:
 
 def _par(numerator: float, annuity: float) -> SpreadResult:
     """The one annuity guard: every par spread is numerator / annuity, finite and
-    at most _MAX_PAR_SPREAD in magnitude."""
+    at most _MAX_PAR_SPREAD in magnitude, over a finite positive annuity."""
     if not annuity > 0.0:
         raise DegenerateAnnuity(f"annuity {annuity} is not positive")
-    spread = _finite("par spread", numerator / annuity)
+    spread = _finite("par spread", numerator / _finite("annuity", annuity))
     if abs(spread) > _MAX_PAR_SPREAD:
         raise DegenerateAnnuity(
             f"par spread {spread} = {numerator} / annuity {annuity} exceeds"
@@ -250,7 +250,8 @@ def price_sheet(
 
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Sum of c * theta_k * P(t_k) plus P(t_N)."""
-    return _note(_grid(discount, None, schedule), repeat(coupon), 0.0)
+    price = _note(_grid(discount, None, schedule), repeat(coupon), 0.0)
+    return _finite("risk-free bond price", price)
 
 
 def default_leg_pv(discount: DiscountCurve, survival: SurvivalCurve, schedule: Schedule) -> float:
@@ -259,7 +260,7 @@ def default_leg_pv(discount: DiscountCurve, survival: SurvivalCurve, schedule: S
     The settlement is grossed up by the period accrual (1 + eps * theta), so
     each bucket contributes P(t_{k-1}) * (Q(t_{k-1}) - Q(t_k)).
     """
-    return _default_leg(_grid(discount, survival, schedule))
+    return _finite("default leg PV", _default_leg(_grid(discount, survival, schedule)))
 
 
 def price_risky_bond(
@@ -269,7 +270,7 @@ def price_risky_bond(
     bond: BondSpec,
 ) -> float:
     """Coupons and principal while the issuer survives, recovery on default."""
-    return _risky_bond(_grid(discount, survival, schedule), bond)
+    return _finite("risky bond price", _risky_bond(_grid(discount, survival, schedule), bond))
 
 
 def price_risky_floater(
@@ -280,19 +281,19 @@ def price_risky_floater(
 ) -> float:
     """Floating-rate note of the same issuer: fixings + principal, recovery on default."""
     g = _grid(discount, survival, schedule)
-    return _note(g, g.eps, recovery)
+    return _finite("risky floater price", _note(g, g.eps, recovery))
 
 
 def annuity_riskfree(discount: DiscountCurve, schedule: Schedule) -> float:
     """PV of a unit spread paid on every date: sum of theta_k * P(t_k)."""
-    return _annuity(_grid(discount, None, schedule))
+    return _finite("risk-free annuity", _annuity(_grid(discount, None, schedule)))
 
 
 def annuity_defaultable(
     discount: DiscountCurve, survival: SurvivalCurve, schedule: Schedule
 ) -> float:
     """PV of a unit spread paid while the issuer survives: sum of theta_k * P_k * Q_k."""
-    return _annuity(_grid(discount, survival, schedule))
+    return _finite("defaultable annuity", _annuity(_grid(discount, survival, schedule)))
 
 
 def par_cds_spread(
@@ -340,7 +341,8 @@ def standard_asw_pv(
     pull-to-par of the bond.
     """
     g = _grid(discount, survival, schedule)
-    return fsum(_swap_payments(g, bond.coupon, spread)) + (_risky_bond(g, bond) - 1.0)
+    pv = fsum(_swap_payments(g, bond.coupon, spread)) + (_risky_bond(g, bond) - 1.0)
+    return _finite("standard asset swap PV", pv)
 
 
 def cancelable_asw_pv(
@@ -353,7 +355,8 @@ def cancelable_asw_pv(
     """Holder PV of the break-clause asset swap: payments gated on survival."""
     g = _grid(discount, survival, schedule)
     payments = _swap_payments(g, bond.coupon, spread)
-    return fsum([pay * q for pay, q in zip(payments, g.q[1:])]) + (_risky_bond(g, bond) - 1.0)
+    pv = fsum([pay * q for pay, q in zip(payments, g.q[1:])]) + (_risky_bond(g, bond) - 1.0)
+    return _finite("cancelable asset swap PV", pv)
 
 
 def mtm_profile(
@@ -364,8 +367,11 @@ def mtm_profile(
     Deterministic rates make the conditional expectation a plain discounted
     tail sum: values[k-1] = sum over h >= k of (-c + eps + s) * theta_h * P(t_k, t_h).
     """
-    values = _mtm_values(_grid(discount, None, schedule), bond.coupon, spread)
-    return MtmProfile(values=tuple(values))
+    values = tuple(_mtm_values(_grid(discount, None, schedule), bond.coupon, spread))
+    for k, value in enumerate(values, start=1):
+        if not math.isfinite(value):
+            _finite(f"mark-to-market value at t_{k}", value)
+    return MtmProfile(values=values)
 
 
 def early_termination_pv(
@@ -383,7 +389,8 @@ def early_termination_pv(
     forfeited with the probability of a default at or before it:
     -sum of pay_k * (Q(t0) - Q(t_k)).
     """
-    return _early_termination(_grid(discount, survival, schedule), bond.coupon, spread)
+    etp = _early_termination(_grid(discount, survival, schedule), bond.coupon, spread)
+    return _finite("early termination PV", etp)
 
 
 def forward_bond_price(
@@ -400,7 +407,8 @@ def forward_bond_price(
     t_N, a P(T_r) * Q(T_r) that underflows to 0 raises DegenerateAnnuity.
     """
     idx = schedule.index_at(repo_maturity)
-    return _forward_bond(_grid(discount, survival, schedule), bond, idx)
+    price = _forward_bond(_grid(discount, survival, schedule), bond, idx)
+    return _finite("forward bond price", price)
 
 
 def par_cancelable_asw_spread_generalized(
@@ -428,4 +436,7 @@ def implied_repo_spreads(
         raise CrossedMarket(f"cds bid {cds_bid} exceeds ask {cds_ask}")
     if aswc_bid > aswc_ask:
         raise CrossedMarket(f"asw bid {aswc_bid} exceeds ask {aswc_ask}")
-    return ImpliedRepoSpreads(repo=cds_ask - aswc_bid, reverse_repo=cds_bid - aswc_ask)
+    return ImpliedRepoSpreads(
+        repo=_finite("implied repo spread", cds_ask - aswc_bid),
+        reverse_repo=_finite("implied reverse repo spread", cds_bid - aswc_ask),
+    )

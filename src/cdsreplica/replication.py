@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import fsum
 from operator import mul, neg
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .curves import (
     DefaultDistribution,
@@ -205,7 +205,7 @@ class _CashflowTable(NamedTuple):
 
     last: int  # L: the periods the repo runs
     times: tuple[float, ...]  # t0, t_1, ..., t_N
-    p: list[float]  # P at the same times
+    p: Sequence[float]  # P at the same times
     opening: list[_Column]
     periods: list[_Column]
     settlements: list[_Column]
@@ -385,13 +385,17 @@ def mc_check(
     Default buckets are drawn with a counter-based generator (Philox keyed on
     the seed), so draw i is a pure function of (seed, i): results are bitwise
     reproducible for a given seed regardless of how paths are evaluated. The
-    seed is the 128-bit Philox key, and n_paths lies in [1000, 10**8]. The
-    paths are counted per bucket, so the moments are O(N) sums over the N + 1
-    residuals of the market's cashflow table. numpy is imported here, so that
-    pricing and the enumerated report never load it.
+    seed is the 128-bit Philox key, and n_paths lies in [1000, 10**8]; each must
+    be an integer (Python or numpy, not a bool), else ConfigError. The paths are
+    counted per bucket, so the moments are O(N) sums over the N + 1 residuals
+    of the market's cashflow table. numpy is imported here, so that pricing and
+    the enumerated report never load it.
     """
     import numpy as np
 
+    for name, value in (("paths", n_paths), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"mc {name}: must be an integer, got {type(value).__name__}")
     if not 1000 <= n_paths <= _MAX_MC_PATHS:
         raise ConfigError(f"mc paths: must lie in [1000, {_MAX_MC_PATHS}], got {n_paths}")
     if not 0 <= seed < 2**128:

@@ -43,6 +43,10 @@ class Schedule:
             prev = t
         if not (math.isfinite(self.t0) and math.isfinite(prev)):  # prev: the last date
             raise ValueError("t0 and the dates must be finite")
+        if math.inf in accruals:  # finite dates far enough apart: t_k - t_{k-1} overflows
+            k = accruals.index(math.inf) + 1
+            start, end = (self.t0, *dates)[k - 1 : k + 1]
+            raise ValueError(f"accrual of period {k} (from {start} to {end}) is not finite")
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "accruals", tuple(accruals))
 

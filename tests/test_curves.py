@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,20 +7,40 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsreplica import (
+    BondSpec,
     DefaultDistribution,
     DegenerateAnnuity,
     DiscountCurve,
     InvalidInterval,
     NonFiniteResult,
     QuoteUnattainable,
+    RepoSpec,
     Schedule,
     SurvivalCurve,
     TimeBeforeAnchor,
+    annuity_defaultable,
+    annuity_riskfree,
     build_schedule,
     calibrate_flat_hazard,
+    cancelable_asw_pv,
     default_distribution,
+    default_leg_pv,
+    early_termination_pv,
+    enumerate_scenarios,
+    forward_bond_price,
     forward_fixings,
+    mc_check,
+    mtm_profile,
+    par_asw_spread,
+    par_cancelable_asw_spread,
+    par_cancelable_asw_spread_generalized,
     par_cds_spread,
+    price_riskfree_bond,
+    price_risky_bond,
+    price_risky_floater,
+    price_sheet,
+    replication_report,
+    standard_asw_pv,
 )
 from cdsreplica import curves
 from cdsreplica.curves import _calibrate_flat_hazard
@@ -366,3 +387,87 @@ def test_non_finite_time_rejected(t):
         DiscountCurve.flat(0.0).discount_factor(t)
     with pytest.raises(InvalidInterval, match=f"^time {t} is not finite"):
         SurvivalCurve.flat(0.0)._at((0.0, 1.0, t))
+
+
+def _count_evaluations(monkeypatch):
+    """Patch curves._exp_integrals to count its calls per curve name ("discount", "survival")."""
+    counts = {"discount": 0, "survival": 0}
+    real = curves._exp_integrals
+
+    def counted(curve, *args):
+        counts[curve] += 1
+        return real(curve, *args)
+
+    monkeypatch.setattr(curves, "_exp_integrals", counted)
+    return counts
+
+
+def test_one_market_evaluates_each_curve_once(monkeypatch):
+    # every public pricer of the benchmark's price request, the report and the
+    # Monte Carlo check, on one market: each curve is evaluated on the schedule once
+    counts = _count_evaluations(monkeypatch)
+    d = DiscountCurve(ORACLE_NODES, ORACLE_RATES)
+    s = SurvivalCurve((1.3, 4.7, 9.0), (0.011, 0.024, 0.03))
+    g = build_schedule(0.0, 10.0, 4)
+    bond, repo_maturity = BondSpec(0.05, 0.4), 6.0
+    s_asw = par_asw_spread(d, s, g, bond).spread
+    price_riskfree_bond(d, g, bond.coupon)
+    price_risky_bond(d, s, g, bond)
+    price_risky_floater(d, s, g, bond.recovery)
+    annuity_riskfree(d, g)
+    annuity_defaultable(d, s, g)
+    par_cds_spread(d, s, g, bond.recovery)
+    par_cancelable_asw_spread(d, s, g, bond)
+    early_termination_pv(d, s, g, bond, s_asw)
+    fwd = forward_bond_price(d, s, g, bond, repo_maturity)
+    par_cancelable_asw_spread_generalized(d, s, g, bond, repo_maturity, fwd)
+    replication_report(d, s, g, bond, RepoSpec(0.001), True)
+    mc_check(d, s, g, bond, RepoSpec(0.001), True, 1000, 0)
+    assert counts == {"discount": 1, "survival": 1}
+    # so do the other public pricers of the library
+    default_leg_pv(d, s, g)
+    standard_asw_pv(d, s, g, bond, s_asw)
+    cancelable_asw_pv(d, s, g, bond, s_asw)
+    mtm_profile(d, g, bond, s_asw)
+    price_sheet(d, s, g, bond, RepoSpec(0.001, repo_maturity))
+    default_distribution(s, g)
+    enumerate_scenarios(s, g)
+    assert counts == {"discount": 1, "survival": 1}
+    # every caller shares P, Q and eps, so they are tuples; the riskless grid shares P and eps
+    grid = curves._grid(d, s, g)
+    assert all(type(values) is tuple for values in (grid.p, grid.q, grid.eps))
+    assert curves._grid(d, None, g).p is grid.p
+    assert curves._grid(d, None, g).eps is forward_fixings(d, g)
+
+
+def test_equal_but_distinct_objects_are_each_evaluated(monkeypatch):
+    # the memo is keyed on the schedule's identity, never on equal values
+    counts = _count_evaluations(monkeypatch)
+    d1, d2 = DiscountCurve.flat(0.02), DiscountCurve.flat(0.02)
+    s1, s2 = SurvivalCurve.flat(0.03), SurvivalCurve.flat(0.03)
+    g1, g2 = build_schedule(0.0, 5.0, 1), build_schedule(0.0, 5.0, 1)
+    assert d1 == d2 and s1 == s2 and g1 == g2
+    markets = (d1, s1, g1), (d2, s2, g1), (d1, s1, g2)
+    spreads = [par_cds_spread(d, s, g, 0.4) for d, s, g in markets]
+    assert counts == {"discount": 3, "survival": 3}
+    assert spreads[0] == spreads[1] == spreads[2]
+    par_cds_spread(d1, s1, g2, 0.4)  # the last schedule each curve saw
+    assert counts == {"discount": 3, "survival": 3}
+
+
+def test_evaluation_leaves_equality_hash_repr_and_asdict_alone():
+    d, s = DiscountCurve((1.0, 3.0), (0.02, 0.03)), SurvivalCurve.flat(0.02)
+    before = [(c, dataclasses.replace(c), hash(c), repr(c), dataclasses.asdict(c)) for c in (d, s)]
+    curves._grid(d, s, build_schedule(0.0, 5.0, 2))
+    for curve, twin, hashed, shown, as_dict in before:
+        assert curve == twin and twin == curve
+        assert (hash(curve), repr(curve), dataclasses.asdict(curve)) == (hashed, shown, as_dict)
+
+
+def test_a_failed_evaluation_stores_nothing():
+    # the market of test_grid_rejects_a_nan_discount_factor, evaluated twice
+    discount = DiscountCurve((2.0, 5.0), (1e308, -1e308))
+    schedule = Schedule(0.0, (4.0,))
+    for _ in range(2):
+        with pytest.raises(DegenerateAnnuity, match="not positive"):
+            curves._grid(discount, SurvivalCurve.flat(0.0), schedule)

@@ -41,7 +41,7 @@ from enum_oracle import (
     oracle_forward_bond_price,
     oracle_par_cds_spread,
 )
-from markets import random_market
+from markets import Market, random_market
 
 # Reference values for the flat F1 market, frozen from the scenario-enumeration
 # oracle in enum_oracle.py. The tests below assert the oracle still reproduces
@@ -405,6 +405,13 @@ class TestImpliedRepoSpreads:
         with pytest.raises(CrossedMarket):
             implied_repo_spreads(0.010, 0.012, 0.011, 0.009)
 
+    def test_non_finite_spread_rejected(self):
+        # the difference of two finite quotes overflows; a NaN quote crosses nothing
+        with pytest.raises(NonFiniteResult, match="^implied repo spread is inf, not a finite"):
+            implied_repo_spreads(1e308, 1e308, -1e308, -1e308)
+        with pytest.raises(NonFiniteResult, match="^implied reverse repo spread is nan, not a"):
+            implied_repo_spreads(math.nan, 0.01, 0.01, 0.01)
+
 
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=150, deadline=None)
@@ -443,6 +450,42 @@ def test_absurd_par_spread_guarded(f1):
     # the top of the calibration bracket (hazard 10) on an annual grid still prices
     top = par_cds_spread(f1.discount, SurvivalCurve.flat(10.0), f1.schedule, 0.0)
     assert 2e4 < top.spread < 3e4
+
+
+_INFINITE_CASHFLOWS = Market(  # a coupon of 1e300 at discount factors up to e^500
+    DiscountCurve((5.0,), (-100.0,)), SurvivalCurve.flat(0.02), build_schedule(0.0, 5.0, 1),
+    BondSpec(1e300, 0.4),
+)
+
+
+@pytest.mark.parametrize(
+    "price, what",
+    [
+        (lambda m: price_risky_bond(*m), "risky bond price is inf"),
+        (lambda m: price_riskfree_bond(m.discount, m.schedule, m.bond.coupon),
+         "risk-free bond price is inf"),
+        (lambda m: early_termination_pv(*m, 0.01), "early termination PV is inf"),
+        (lambda m: standard_asw_pv(*m, 0.01), "standard asset swap PV is nan"),
+        (lambda m: cancelable_asw_pv(*m, 0.01), "cancelable asset swap PV is nan"),
+        (lambda m: mtm_profile(m.discount, m.schedule, m.bond, 0.01),
+         "mark-to-market value at t_1 is -inf"),
+    ],
+    ids=["risky_bond", "riskfree_bond", "etp", "standard_asw_pv", "cancelable_asw_pv", "mtm"],
+)
+def test_public_pricer_returns_no_infinite_or_nan_value(price, what):
+    with pytest.raises(NonFiniteResult, match=f"^{what}, not a finite number$"):
+        price(_INFINITE_CASHFLOWS)
+
+
+def test_infinite_annuity_is_a_non_finite_result():
+    # one accrual of 1e300 at a discount factor of about 1.3e9: theta * P overflows,
+    # and numerator / annuity would read a spread of 0
+    d, s, g = DiscountCurve.flat(-2.1e-299), SurvivalCurve.flat(0.0), Schedule(0.0, (1e300,))
+    bond = BondSpec(0.0, 0.4)
+    for price in (lambda: par_cds_spread(d, s, g, 0.4), lambda: par_asw_spread(d, s, g, bond),
+                  lambda: par_cancelable_asw_spread(d, s, g, bond)):
+        with pytest.raises(NonFiniteResult, match="^annuity is inf, not a finite number$"):
+            price()
 
 
 def test_vanishing_riskfree_annuity_guarded(f1):

@@ -380,6 +380,29 @@ class TestMcCheck:
                 RepoSpec(spread=0.001), True, replication._MAX_MC_PATHS + 1, seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "n_paths, seed, match",
+        [
+            (1000.0, 1, "mc paths: must be an integer, got float"),
+            (True, 1, "mc paths: must be an integer, got bool"),
+            (1000, 1.5, "mc seed: must be an integer, got float"),
+            (1000, True, "mc seed: must be an integer, got bool"),
+        ],
+        ids=["float_paths", "bool_paths", "float_seed", "bool_seed"],
+    )
+    def test_non_integer_paths_or_seed_rejected(self, f1, n_paths, seed, match):
+        with pytest.raises(ConfigError, match=f"^{match}$"):
+            mc_check(
+                f1.discount, f1.survival, f1.schedule, f1.bond,
+                RepoSpec(spread=0.001), True, n_paths, seed,
+            )
+
+    def test_numpy_integers_are_integers(self, f1):
+        import numpy as np
+
+        market = f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001), False
+        assert mc_check(*market, np.int64(2000), np.uint64(5)) == mc_check(*market, 2000, 5)
+
     def test_builds_one_grid_and_no_report(self, f1, monkeypatch):
         calls = {"grid": 0, "report": 0}
         real_grid = replication._grid

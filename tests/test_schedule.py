@@ -90,6 +90,7 @@ def test_nonzero_anchor():
         dict(t0=0.0, dates=()),
         dict(t0=2.0, dates=(1.0,)),
         dict(t0=0.0, dates=(1.0, math.inf)),
+        dict(t0=-1e308, dates=(1e308,)),  # finite dates, but the accrual overflows
     ],
 )
 def test_invalid_schedules_rejected(bad):
