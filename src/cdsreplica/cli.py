@@ -370,9 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
-        print(f"error: numerical overflow: {exc}", file=sys.stderr)
-        return 3
     return _emit(payload, args.pretty, args.bp, code)
 
 

@@ -16,9 +16,9 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import exp, fsum
+from math import exp
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateAnnuity,
@@ -34,6 +34,14 @@ _CALIBRATION_MAX_ITER = 200
 _HAZARD_BRACKET = (0.0, 10.0)
 _DISTRIBUTION_TOL = 1e-12
 _MAX_EXPONENT = math.log(sys.float_info.max)  # exp of anything larger overflows
+
+
+def fsum(values: Iterable[float]) -> float:
+    """math.fsum, except that an intermediate overflow raises NonFiniteResult."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite terms whose running sum is not
+        raise NonFiniteResult("a sum of finite terms overflows") from None
 
 
 def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[float, ...]) -> None:
@@ -60,9 +68,9 @@ def _exp_integrals(
 ) -> list[float]:
     """exp(-integral of the piecewise-constant rate over [t0, t]) at each ascending t.
 
-    One pass over the segments: each takes its slice of the times by bisection
-    and evaluates it in one comprehension, from the integral up to its start;
-    times past the last node extrapolate its rate flat. An exponential that
+    One pass over the segments, the last rate extrapolated flat as the last:
+    each takes its slice of the times by bisection and evaluates it in one
+    comprehension, from the integral up to its start. An exponential that
     overflows, an infinite exponent included, raises NonFiniteResult naming
     the curve and the time; a time that is not finite raises InvalidInterval.
     """
@@ -74,34 +82,22 @@ def _exp_integrals(
     total = 0.0
     prev = t0
     lo = 0
-    for node, rate in zip(node_times, rates):
+    for node, rate in zip((*node_times, math.inf), (*rates, rates[-1])):  # the flat tail last
         hi = bisect_right(times, node, lo)
-        values += _exp_slice(curve, times[lo:hi], total, rate, prev)
-        if hi == len(times):
-            return values
-        total += rate * (node - prev)
-        prev = node
-        lo = hi
-    return values + _exp_slice(curve, times[lo:], total, rates[-1], prev)
-
-
-def _exp_slice(
-    curve: str, times: Sequence[float], total: float, rate: float, prev: float
-) -> list[float]:
-    """exp(-(total + rate * (t - prev))) at each t of an ascending slice of one segment.
-
-    The exponent is monotone in t, rounding included, so if any t overflows, one
-    end of the slice does; then the first such t raises NonFiniteResult.
-    """
-    if times:
-        head = -(total + rate * (times[0] - prev))
-        tail = -(total + rate * (times[-1] - prev))
-        if head > _MAX_EXPONENT or tail > _MAX_EXPONENT:
-            t = next(t for t in times if -(total + rate * (t - prev)) > _MAX_EXPONENT)
+        # the exponent is monotone in t, rounding included: if any t overflows, one end does
+        if lo < hi and (-(total + rate * (times[lo] - prev)) > _MAX_EXPONENT
+                        or -(total + rate * (times[hi - 1] - prev)) > _MAX_EXPONENT):
+            t = next(t for t in times[lo:hi] if -(total + rate * (t - prev)) > _MAX_EXPONENT)
             raise NonFiniteResult(
                 f"{curve} curve at t = {t}: exp({-(total + rate * (t - prev))}) overflows"
             )
-    return [exp(-(total + rate * (t - prev))) for t in times]
+        values += [exp(-(total + rate * (t - prev))) for t in times[lo:hi]]
+        if hi == len(times):
+            break
+        total += rate * (node - prev)
+        prev = node
+        lo = hi
+    return values
 
 
 def _memo(curve, schedule: Schedule, evaluate):
@@ -248,11 +244,11 @@ class DefaultDistribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bucket_probs", tuple([float(p) for p in self.bucket_probs]))
-        if any(p < 0.0 for p in self.bucket_probs):
+        if not all(p >= 0.0 for p in self.bucket_probs):  # also rejects NaN
             raise ValueError("bucket probabilities must be non-negative")
         if not 0.0 <= self.survival_prob <= 1.0:
             raise ValueError("survival probability must lie in [0, 1]")
-        total = math.fsum(self.bucket_probs) + self.survival_prob
+        total = fsum(self.bucket_probs) + self.survival_prob
         if abs(total - 1.0) > _DISTRIBUTION_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
@@ -293,12 +289,12 @@ def _calibrate_flat_hazard(
     Newton's method on the hazard h, safeguarded by a bracket (`rtsafe`, Numerical
     Recipes 9.4). The par spread s(h) = LGD * D(h) / A(h) is strictly increasing
     in h, so [0, 10] brackets every attainable quote and the check at h = 10 is
-    the attainability test. The first guess is quote / LGD. Each point evaluates
-    s and its slope on the Q of the curve it returns, with dQ_k/dh = -(t_k - t0) Q_k;
-    a step that leaves the current bracket, or a slope that is not finite and
-    positive, falls back to the bracket's midpoint. Stops when |s(h) - quote|
-    is below 1e-12 (capped at 200 points) and returns the last point evaluated;
-    `iterations` counts the points after the check at h = 10.
+    the attainability test. The first guess is quote / LGD. Each point prices s
+    on the pricers' grid, so the curve returned keeps its Q (_memo), and its
+    slope by dQ_k/dh = -(t_k - t0) Q_k; a step leaving the current bracket, or
+    a slope not finite and positive, falls back to the bracket's midpoint. Stops
+    when |s(h) - quote| < 1e-12 (capped at 200 points), returning the last point
+    evaluated; `iterations` counts the points after the check at h = 10.
     """
     from .pricers import _par_cds
 
@@ -308,20 +304,19 @@ def _calibrate_flat_hazard(
         raise ValueError("recovery must lie in [0, 1)")
     lgd = 1.0 - recovery
     grid = _grid(discount, None, schedule)
-    times = [schedule.t0, *schedule.dates]
     # With tau_k = t_k - t0 and dQ_k/dh = -tau_k Q_k, the slopes of the default
     # leg D = sum of P_{k-1} (Q_{k-1} - Q_k) and of the annuity A are fixed
     # weights dotted with Q: dD/dh = sum of default_w_k Q_k, dA/dh = -sum of annuity_w_k Q_k.
-    tau = [t - discount.t0 for t in times]
+    tau = [t - discount.t0 for t in (schedule.t0, *schedule.dates)]
     default_w = [t * (p0 - p1) for t, p0, p1 in zip(tau, [0.0, *grid.p], [*grid.p[:-1], 0.0])]
     annuity_w = [0.0, *(th * p * t for th, p, t in zip(grid.theta, grid.p[1:], tau[1:]))]
 
     def evaluate(hazard: float) -> tuple[SurvivalCurve, float, float]:
         """The curve at this hazard, its par spread s and ds/dh = (LGD dD/dh - s dA/dh) / A."""
         curve = SurvivalCurve.flat(hazard, t0=discount.t0)
-        q = curve._at(times)
-        par = _par_cds(grid._replace(q=q), recovery)
-        slope = lgd * fsum(map(mul, default_w, q)) + par.spread * fsum(map(mul, annuity_w, q))
+        g = _grid(discount, curve, schedule)
+        par = _par_cds(g, recovery)
+        slope = lgd * fsum(map(mul, default_w, g.q)) + par.spread * fsum(map(mul, annuity_w, g.q))
         return curve, par.spread, slope / par.annuity
 
     lo, hi = _HAZARD_BRACKET

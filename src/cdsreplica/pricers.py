@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from math import fsum
 from typing import Iterable, NamedTuple
 
-from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid
+from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, fsum
 from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
 from .schedule import Schedule
 

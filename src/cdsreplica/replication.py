@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import fsum
 from operator import mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -44,6 +43,7 @@ from .curves import (
     _Grid,
     _grid,
     default_distribution,
+    fsum,
 )
 from .errors import ConfigError, InconsistentSpecs, NonFiniteResult
 from .pricers import (

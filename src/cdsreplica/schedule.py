@@ -11,11 +11,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods
+from .errors import (
+    ConfigError, InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods,
+)
 
 VALID_FREQUENCIES = (1, 2, 4, 12)
 
 _GRID_TOL = 1e-9
+_MAX_PERIODS = 10**5  # build_schedule's largest grid; a priced period takes about 780 B
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,21 @@ class Schedule:
 def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
     """Build a regular grid with `frequency` payments per year.
 
-    (maturity - t0) * frequency must be an integer (within 1e-9).
+    (maturity - t0) * frequency must be a finite integer (within 1e-9), at
+    most _MAX_PERIODS; both are checked before any date is built.
     """
     if frequency not in VALID_FREQUENCIES:
         raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency}")
     if maturity <= t0:
         raise InvalidInterval(f"maturity {maturity} must exceed anchor {t0}")
     n_exact = (maturity - t0) * frequency
-    n = round(n_exact)
-    if abs(n_exact - n) > _GRID_TOL:
+    if not math.isfinite(n_exact) or abs(n_exact - round(n_exact)) > _GRID_TOL:
         raise NonIntegralPeriods(
             f"(maturity - t0) * frequency = {n_exact} is not an integer number of periods"
         )
+    n = round(n_exact)
+    if n > _MAX_PERIODS:
+        raise ConfigError(f"the schedule has {n:.15g} periods, above the limit of {_MAX_PERIODS}")
     dt = 1.0 / frequency
     return Schedule(t0=t0, dates=[t0 + k * dt for k in range(1, n + 1)])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -353,6 +354,8 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
         (OVERFLOWED_MC, ("replicate", "--mc", "1000"), 4),
         (ABSURD_SPREAD, ("price",), 3),
         (ABSURD_SPREAD, ("replicate",), 3),
+        (_with("bond", maturity=1e308, frequency=4), ("price",), 2),
+        (_with("bond", maturity=1e9), ("price",), 2),
     ],
     ids=["mc-paths", "mc-paths-above-cap", "mc-seed", "repo-off-grid", "repo-off-grid-price",
          "frequency", "non-integral-maturity", "vanishing-annuity", "discount-overflow", "coupon-overflow",
@@ -361,7 +364,8 @@ OVERFLOWED_MC = dict(F1_CONFIG, discount_nodes=[[5.0, -100.0]],
          "repo-to-maturity-off-par-forward", "repo-to-maturity-off-par-forward-price",
          "repo-row-overflow", "repo-row-overflow-no-clause", "underflowed-forward-price",
          "underflowed-forward-replicate", "calibrate-without-quote", "mc-overflow",
-         "absurd-spread-price", "absurd-spread-replicate"],
+         "absurd-spread-price", "absurd-spread-replicate", "period-count-overflows",
+         "periods-above-the-limit"],
 )
 def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv, code):
     got, out, err = run_cli(capsys, "--config", config_file(payload), *argv)
@@ -606,3 +610,75 @@ def test_every_input_ends_in_a_documented_exit(contract_config, case):
         if not (code == 4 and one_error_line):
             assert err == ""
             json.loads(out, parse_constant=_reject_constant)
+
+
+def _numbers_in(value):
+    """Every float in a pricer's result: a number, or a tuple, list, dict or dataclass of them."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _numbers_in(item)
+    elif dataclasses.is_dataclass(value):
+        yield from _numbers_in(vars(value))
+
+
+@given(case=_cli_cases())
+@example(case=(_with("bond", coupon=1e308), ("price",)))  # finite coupon terms, overflowing sum
+@settings(max_examples=120, deadline=None)
+def test_every_public_pricer_returns_finite_numbers_or_a_pricing_error(case):
+    config, _ = case
+    bond, repo = config["bond"], config["repo"]
+    try:  # the documented input checks: a ValueError before any price
+        discount = DiscountCurve(*zip(*config["discount_nodes"]))
+        schedule = build_schedule(0.0, bond["maturity"], bond["frequency"])
+        spec = BondSpec(bond["coupon"], bond["recovery"])
+        forward = None if repo["forward_price"] == "fair" else repo["forward_price"]
+        repo_spec = cdsreplica.RepoSpec(repo["spread"], repo.get("maturity"), forward)
+        if "hazard_nodes" in config:
+            survival = SurvivalCurve(*zip(*config["hazard_nodes"]))
+        else:
+            survival = cdsreplica.calibrate_flat_hazard(
+                discount, schedule, config["cds_quote"], spec.recovery
+            )
+    except ValueError:
+        return
+    d, s, g, spread = discount, survival, schedule, repo_spec.spread
+    repo_maturity = g.maturity if repo_spec.maturity is None else repo_spec.maturity
+    forward_price = 1.0 if repo_spec.forward_price is None else repo_spec.forward_price
+    pricers = [
+        lambda: cdsreplica.forward_fixings(d, g),
+        lambda: cdsreplica.default_distribution(s, g),
+        lambda: price_riskfree_bond(d, g, spec.coupon),
+        lambda: price_risky_bond(d, s, g, spec),
+        lambda: price_risky_floater(d, s, g, spec.recovery),
+        lambda: cdsreplica.default_leg_pv(d, s, g),
+        lambda: annuity_riskfree(d, g),
+        lambda: annuity_defaultable(d, s, g),
+        lambda: par_cds_spread(d, s, g, spec.recovery),
+        lambda: par_asw_spread(d, s, g, spec),
+        lambda: par_cancelable_asw_spread(d, s, g, spec),
+        lambda: par_cancelable_asw_spread_generalized(d, s, g, spec, repo_maturity, forward_price),
+        lambda: cdsreplica.standard_asw_pv(d, s, g, spec, spread),
+        lambda: cdsreplica.cancelable_asw_pv(d, s, g, spec, spread),
+        lambda: mtm_profile(d, g, spec, spread),
+        lambda: early_termination_pv(d, s, g, spec, spread),
+        lambda: forward_bond_price(d, s, g, spec, repo_maturity),
+        lambda: cdsreplica.replication_report(d, s, g, spec, repo_spec, True),
+        lambda: cdsreplica.replication_report(d, s, g, spec, repo_spec, False),
+    ]
+    if "quotes" in config:
+        pricers.append(lambda: cdsreplica.implied_repo_spreads(*config["quotes"].values()))
+    for price in pricers:
+        try:
+            result = price()
+        except cdsreplica.PricingError:
+            continue
+        assert all(map(math.isfinite, _numbers_in(result)))
+    # their non-finite numbers are left to the CLI's emission check
+    for price in (lambda: cdsreplica.price_sheet(d, s, g, spec, repo_spec),
+                  lambda: cdsreplica.mc_check(d, s, g, spec, repo_spec, True, 1000, 0)):
+        try:
+            price()
+        except cdsreplica.PricingError:
+            pass

@@ -152,7 +152,8 @@ class TestDefaultDistribution:
 
     @pytest.mark.parametrize(
         "buckets,survival,match",
-        [((0.6, -0.1), 0.5, "non-negative"), ((0.5,), 1.5, r"\[0, 1\]"), ((0.5,), 0.4, "sum to")],
+        [((0.6, -0.1), 0.5, "non-negative"), ((0.5,), 1.5, r"\[0, 1\]"), ((0.5,), 0.4, "sum to"),
+         ((0.5, math.nan), 0.5, "non-negative")],
     )
     def test_invalid_distribution_rejected(self, buckets, survival, match):
         with pytest.raises(ValueError, match=match):
@@ -438,6 +439,33 @@ def test_one_market_evaluates_each_curve_once(monkeypatch):
     assert all(type(values) is tuple for values in (grid.p, grid.q, grid.eps))
     assert curves._grid(d, None, g).p is grid.p
     assert curves._grid(d, None, g).eps is forward_fixings(d, g)
+
+
+def test_a_calibrated_market_evaluates_q_only_at_the_fits_points(monkeypatch):
+    # each point of the fit prices on the pricers' grid, so the fitted curve leaves
+    # the fit holding its Q: the price request, the report and mc_check add nothing
+    counts = _count_evaluations(monkeypatch)
+    d = DiscountCurve(ORACLE_NODES, ORACLE_RATES)
+    g = build_schedule(0.0, 10.0, 4)
+    bond, repo_maturity = BondSpec(0.05, 0.4), 6.0
+    fit = curves._calibrate_flat_hazard(d, g, 0.012, bond.recovery)
+    assert counts == {"discount": 1, "survival": fit.iterations + 1}  # the check at h = 10 too
+    s = fit.curve
+    assert par_cds_spread(d, s, g, bond.recovery).spread == fit.spread
+    price_sheet(d, s, g, bond, RepoSpec(0.001, repo_maturity))
+    s_asw = par_asw_spread(d, s, g, bond).spread
+    price_riskfree_bond(d, g, bond.coupon)
+    price_risky_bond(d, s, g, bond)
+    price_risky_floater(d, s, g, bond.recovery)
+    annuity_riskfree(d, g)
+    annuity_defaultable(d, s, g)
+    par_cancelable_asw_spread(d, s, g, bond)
+    early_termination_pv(d, s, g, bond, s_asw)
+    fwd = forward_bond_price(d, s, g, bond, repo_maturity)
+    par_cancelable_asw_spread_generalized(d, s, g, bond, repo_maturity, fwd)
+    replication_report(d, s, g, bond, RepoSpec(0.001), True)
+    mc_check(d, s, g, bond, RepoSpec(0.001), True, 1000, 0)
+    assert counts == {"discount": 1, "survival": fit.iterations + 1}
 
 
 def test_equal_but_distinct_objects_are_each_evaluated(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdsreplica import (
+    ConfigError,
     InvalidFrequency,
     InvalidInterval,
     MaturityNotOnGrid,
@@ -42,6 +43,28 @@ def test_invalid_frequency_rejected():
 def test_maturity_before_anchor_rejected():
     with pytest.raises(InvalidInterval):
         build_schedule(1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "t0,maturity,frequency,error,match",
+    [
+        (0.0, math.inf, 4, NonIntegralPeriods, "= inf is not an integer"),
+        (0.0, 1e308, 4, NonIntegralPeriods, "= inf is not an integer"),  # the count overflows
+        (-math.inf, 5.0, 4, NonIntegralPeriods, "= inf is not an integer"),
+        (0.0, math.nan, 4, NonIntegralPeriods, "= nan is not an integer"),
+        (math.nan, 5.0, 4, NonIntegralPeriods, "= nan is not an integer"),
+        (0.0, 1e308, 1, ConfigError, r"^the schedule has 1e\+308 periods, above the limit"),
+        (0.0, 1e9, 1, ConfigError, "^the schedule has 1000000000 periods, above the limit"),
+        (0.0, 25000.25, 4, ConfigError, "has 100001 periods, above the limit of 100000$"),
+    ],
+)
+def test_unbounded_period_count_rejected_before_any_date(t0, maturity, frequency, error, match):
+    with pytest.raises(error, match=match):
+        build_schedule(t0, maturity, frequency)
+
+
+def test_period_limit_is_inclusive():
+    assert build_schedule(0.0, 25000.0, 4).n_periods == 10**5
 
 
 def test_truncate_prefix():
