@@ -211,10 +211,7 @@ def cmd_price(config: MarketConfig) -> dict:
 
 
 def cmd_replicate(
-    config: MarketConfig,
-    clause_enabled: bool = True,
-    mc_paths: int | None = None,
-    seed: int = 0,
+    config: MarketConfig, clause_enabled: bool, mc_paths: int | None, seed: int
 ) -> tuple[dict, int]:
     """Scenario residual table; exit 0 iff the clause is on and residuals are tiny."""
     discount, survival, schedule, bond = _build_market(config)
@@ -325,6 +322,7 @@ def _load_config(path: str) -> MarketConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each subcommand binds its handler run(config, args) -> (payload, code)."""
     parser = argparse.ArgumentParser(
         prog="cdsreplica",
         description="Price and verify the replication of a stylized CDS "
@@ -335,41 +333,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bp", action="store_true",
                         help="display spreads in basis points (table output only)")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("price", help="prices, annuities, and par spreads")
+    sub.add_parser("price", help="prices, annuities, and par spreads").set_defaults(
+        run=lambda config, args: (cmd_price(config), 0))
     replicate = sub.add_parser("replicate", help="scenario-by-scenario replication check")
     replicate.add_argument("--no-clause", action="store_true",
                            help="drop the early-termination clause from the asset swap")
     replicate.add_argument("--mc", type=int, metavar="N",
                            help="add a Monte Carlo residual estimate over N paths")
     replicate.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    sub.add_parser("implied-repo", help="repo spreads implied by CDS and ASW quotes")
-    sub.add_parser("calibrate", help="fit a flat hazard to the configured CDS quote")
+    replicate.set_defaults(
+        run=lambda config, args: cmd_replicate(config, not args.no_clause, args.mc, args.seed))
+    sub.add_parser("implied-repo", help="repo spreads implied by CDS and ASW quotes").set_defaults(
+        run=lambda config, args: (cmd_implied_repo(config), 0))
+    sub.add_parser("calibrate", help="fit a flat hazard to the configured CDS quote").set_defaults(
+        run=lambda config, args: (cmd_calibrate(config), 0))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        if args.command == "price":
-            payload, code = cmd_price(config), 0
-        elif args.command == "replicate":
-            payload, code = cmd_replicate(
-                config,
-                clause_enabled=not args.no_clause,
-                mc_paths=args.mc,
-                seed=args.seed,
-            )
-        elif args.command == "implied-repo":
-            payload, code = cmd_implied_repo(config), 0
-        else:
-            payload, code = cmd_calibrate(config), 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, code = args.run(_load_config(args.config), args)
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     return _emit(payload, args.pretty, args.bp, code)
 
 

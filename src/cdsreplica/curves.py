@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateAnnuity,
+    InconsistentSpecs,
     InvalidInterval,
     NonFiniteResult,
     QuoteUnattainable,
@@ -149,7 +150,7 @@ class DiscountCurve:
 
     def forward_rate(self, t_start: float, t_end: float) -> float:
         """Simple-compounded forward rate over (t_start, t_end]: the model's floating fixing."""
-        if t_end <= t_start:
+        if not t_start < t_end:  # also rejects NaN
             raise InvalidInterval(f"need t_start < t_end, got ({t_start}, {t_end})")
         p_start, p_end = self._at((t_start, t_end))
         return (p_start / p_end - 1.0) / (t_end - t_start)
@@ -210,8 +211,17 @@ class _Grid(NamedTuple):
 _Discounting = tuple[tuple[float, ...], tuple[float, ...]]  # (P, eps) on one schedule
 
 
+def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedule) -> list[float]:
+    """The curve at [t0, t_1, ..., t_N]; a curve anchored away from the schedule's t0
+    raises InconsistentSpecs, since every pricer reads P and Q at the schedule's t0 as 1."""
+    if curve.t0 != schedule.t0:
+        raise InconsistentSpecs(f"{name} curve is anchored at {curve.t0}, "
+                                f"the schedule at {schedule.t0}")
+    return curve._at([schedule.t0, *schedule.dates])
+
+
 def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Discounting:
-    p = tuple(discount._at([schedule.t0, *schedule.dates]))
+    p = tuple(_values_on(discount, "discount", schedule))
     if not all(df > 0.0 for df in p):
         raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
     eps = tuple([(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], schedule.accruals)])
@@ -219,7 +229,7 @@ def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Discounting:
 
 
 def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> tuple[float, ...]:
-    return tuple(survival._at([schedule.t0, *schedule.dates]))
+    return tuple(_values_on(survival, "survival", schedule))
 
 
 def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:

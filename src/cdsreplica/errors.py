@@ -47,4 +47,4 @@ class CrossedMarket(ConfigError):
 
 
 class InconsistentSpecs(ConfigError):
-    """Repo, bond, and schedule parameters disagree."""
+    """Repo, bond, curve, schedule or scenario parameters disagree."""

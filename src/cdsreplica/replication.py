@@ -217,8 +217,10 @@ class _CashflowTable(NamedTuple):
     def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
         """Survival, or a default after the unwind, sees the opening, every period
         and the unwind; a default in bucket b sees the opening, the periods before
-        b and its settlement."""
+        b and its settlement. A bucket outside 1..N raises InconsistentSpecs."""
         t, last = self.times, self.last
+        if bucket is not None and not 1 <= bucket < len(t):
+            raise InconsistentSpecs(f"default bucket {bucket} is not in 1..{len(t) - 1}")
         defaulted = bucket is not None and bucket <= last
         survived = bucket - 1 if defaulted else last
         rows = [  # (block, k, j): entry j of each column of the block, paid at t_k
@@ -316,7 +318,8 @@ def portfolio_ledger(
     """Materialize every cashflow of the replica and the CDS for one scenario.
 
     The asset swap and the CDS mature with the repo; a default after the repo
-    maturity never touches the (already unwound) portfolio.
+    maturity never touches the (already unwound) portfolio. The scenario's
+    bucket is None (survival) or in 1..N, else InconsistentSpecs.
     """
     g = _grid(discount, survival, schedule)
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled, (asw_spread, cds_spread))

@@ -376,7 +376,7 @@ def test_bad_input_exits_with_one_error_line(config_file, capsys, payload, argv,
 
 
 def test_overflowing_discount_factor_exits_3_naming_the_curve(config_file, capsys):
-    # exp(1000) overflows at t_1: the curve reports it, not the catch-all OverflowError handler
+    # exp(1000) overflows at t_1: the curve names itself and the time in the error line
     payload = dict(F1_CONFIG, discount_nodes=[[5.0, -1000.0]])
     code, out, err = run_cli(capsys, "--config", config_file(payload), "price")
     assert code == 3

@@ -11,6 +11,7 @@ from cdsreplica import (
     DefaultDistribution,
     DegenerateAnnuity,
     DiscountCurve,
+    InconsistentSpecs,
     InvalidInterval,
     NonFiniteResult,
     QuoteUnattainable,
@@ -127,12 +128,49 @@ class TestForwardRate:
         )
 
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(InvalidInterval):
-            DiscountCurve.flat(0.02).forward_rate(1.0, 1.0)
+        for t_start, t_end in ((1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(InvalidInterval):
+                DiscountCurve.flat(0.02).forward_rate(t_start, t_end)
 
     def test_start_before_anchor_rejected(self):
         with pytest.raises(TimeBeforeAnchor):
             DiscountCurve.flat(0.02).forward_rate(-1.0, 1.0)
+
+
+class TestAnchors:
+    """Every pricer reads P and Q from the schedule's t0, so each curve must be anchored there."""
+
+    SCHEDULE = build_schedule(1.0, 6.0, 1)
+    BOND = BondSpec(0.05, 0.4)
+
+    @pytest.mark.parametrize("call", [
+        lambda d, q, s, b: par_cds_spread(d, q, s, b.recovery),
+        lambda d, q, s, b: price_sheet(d, q, s, b, RepoSpec(0.0)),
+        lambda d, q, s, b: replication_report(d, q, s, b, RepoSpec(0.0), True),
+        lambda d, q, s, b: calibrate_flat_hazard(d, s, 0.01, b.recovery),
+    ], ids=["par_cds_spread", "price_sheet", "replication_report", "calibrate_flat_hazard"])
+    def test_discount_curve_anchored_away_from_the_schedule_rejected(self, call):
+        discount, survival = DiscountCurve.flat(0.03), SurvivalCurve.flat(0.02, t0=1.0)
+        with pytest.raises(
+            InconsistentSpecs, match="discount curve is anchored at 0.0, the schedule at 1.0"
+        ):
+            call(discount, survival, self.SCHEDULE, self.BOND)
+
+    def test_survival_curve_anchored_away_from_the_schedule_rejected(self):
+        with pytest.raises(
+            InconsistentSpecs, match="survival curve is anchored at 0.0, the schedule at 1.0"
+        ):
+            default_distribution(SurvivalCurve.flat(0.02), self.SCHEDULE)
+
+    def test_curves_anchored_at_the_schedule_replicate(self):
+        discount, survival = DiscountCurve.flat(0.03, t0=1.0), SurvivalCurve.flat(0.02, t0=1.0)
+        s_cds = par_cds_spread(discount, survival, self.SCHEDULE, self.BOND.recovery).spread
+        s_aswc = par_cancelable_asw_spread(discount, survival, self.SCHEDULE, self.BOND).spread
+        assert abs(s_cds - s_aswc) < 1e-12
+        report = replication_report(
+            discount, survival, self.SCHEDULE, self.BOND, RepoSpec(0.0), True
+        )
+        assert report.max_abs_residual < 1e-10
 
 
 class TestDefaultDistribution:

@@ -9,6 +9,7 @@ import cdsreplica.replication as replication
 from cdsreplica import (
     BondSpec,
     ConfigError,
+    DefaultScenario,
     DiscountCurve,
     InconsistentSpecs,
     Leg,
@@ -176,6 +177,15 @@ class TestPortfolioLedger:
             portfolio_ledger(
                 f1.discount, f1.survival, f1.schedule, f1.bond, repo,
                 0.012, 0.013, True, survival_scenario(f1.survival, f1.schedule),
+            )
+
+    @pytest.mark.parametrize("bucket", [0, -1, 6])
+    def test_bucket_outside_the_grid_rejected(self, f1, bucket):
+        # f1 has 5 periods: these buckets index no settlement of the table
+        with pytest.raises(InconsistentSpecs, match=rf"default bucket {bucket} is not in 1\.\.5$"):
+            portfolio_ledger(
+                f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
+                0.012, 0.013, True, DefaultScenario(bucket, 0.1),
             )
 
     def test_overflowing_row_is_named_not_summed(self, f1):
