@@ -93,9 +93,7 @@ def _nodes(parse_rate):
             where = f"{path}[{i}]"
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError(f"{where}: expected a [time, rate] pair")
-            t = _require_number(pair[0], f"{where}.time")
-            if t <= 0.0:
-                raise ConfigError(f"{where}.time: must be positive")
+            t = _positive(pair[0], f"{where}.time")
             if nodes and t <= nodes[-1][0]:
                 raise ConfigError(f"{where}.time: must exceed the previous node time")
             nodes.append((t, parse_rate(pair[1], f"{where}.rate")))

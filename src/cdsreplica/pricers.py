@@ -143,12 +143,8 @@ def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
     return _par((1.0 - recovery) * _default_leg(g), _annuity(g))
 
 
-def _riskless(g: _Grid) -> _Grid:
-    return g._replace(q=[1.0] * len(g.p))
-
-
 def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:
-    riskless = _riskless(g)
+    riskless = g._replace(q=[1.0] * len(g.p))
     return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), _annuity(riskless))
 
 
@@ -191,6 +187,16 @@ def _forward_bond(g: _Grid, bond: BondSpec, idx: int) -> float:
     return _risky_bond(g.window(idx + 1, len(g.theta)), bond) / weight
 
 
+def _repurchase_price(schedule: Schedule, idx: int, forward_price: float) -> float:
+    """forward_price as the repurchase price X of a repo ending at t_{idx+1}: X must be
+    positive, and 1 when the repo runs to the bond's maturity."""
+    if idx == schedule.n_periods - 1 and abs(forward_price - 1.0) > _FORWARD_PRICE_TOL:
+        raise InconsistentSpecs(f"repo to maturity must use forward price 1, got {forward_price}")
+    if forward_price <= 0.0:
+        raise InconsistentSpecs(f"forward price must be positive, got {forward_price}")
+    return forward_price
+
+
 def _repo_on_grid(
     g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec
 ) -> tuple[int, float, float]:
@@ -204,47 +210,7 @@ def _repo_on_grid(
     idx = schedule.index_at(maturity)
     fair = _forward_bond(g, bond, idx)
     forward_price = fair if repo.forward_price is None else repo.forward_price
-    if idx == schedule.n_periods - 1 and abs(forward_price - 1.0) > _FORWARD_PRICE_TOL:
-        raise InconsistentSpecs(f"repo to maturity must use forward price 1, got {forward_price}")
-    if forward_price <= 0.0:
-        raise InconsistentSpecs(f"forward price must be positive, got {forward_price}")
-    return idx + 1, fair, forward_price
-
-
-def price_sheet(
-    discount: DiscountCurve,
-    survival: SurvivalCurve,
-    schedule: Schedule,
-    bond: BondSpec,
-    repo: RepoSpec,
-) -> dict[str, float]:
-    """Prices, annuities, every par spread and the clause's PV of one market, from one grid.
-
-    Each number is bit for bit what its public pricer returns. The forward bond
-    price and the generalized break-clause spread are added only when the repo
-    ends before the bond matures; the repo is validated as for the replication.
-    """
-    g = _grid(discount, survival, schedule)
-    riskless = _riskless(g)
-    s_asw = _par_asw(g, bond).spread
-    sheet = {
-        "riskfree_bond_price": _note(riskless, repeat(bond.coupon), 0.0),
-        "risky_bond_price": _risky_bond(g, bond),
-        "risky_floater_price": _note(g, g.eps, bond.recovery),
-        "annuity_riskfree": _annuity(riskless),
-        "annuity_defaultable": _annuity(g),
-        "cds_par_spread": _par_cds(g, bond.recovery).spread,
-        "asw_par_spread": s_asw,
-        "cancelable_asw_par_spread": _par_cancelable(g, bond, schedule.n_periods, 1.0).spread,
-        "early_termination_pv": _early_termination(g, bond.coupon, s_asw),
-    }
-    last, fair, forward_price = _repo_on_grid(g, schedule, bond, repo)
-    if last < schedule.n_periods:
-        sheet["forward_bond_price"] = fair
-        sheet["generalized_cancelable_asw_par_spread"] = (
-            _par_cancelable(g, bond, last, forward_price).spread
-        )
-    return sheet
+    return idx + 1, fair, _repurchase_price(schedule, idx, forward_price)
 
 
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
@@ -424,7 +390,44 @@ def par_cancelable_asw_spread_generalized(
     plain break-clause spread at T_r = t_N with X = 1.
     """
     idx = schedule.index_at(repo_maturity)
+    forward_price = _repurchase_price(schedule, idx, forward_price)
     return _par_cancelable(_grid(discount, survival, schedule), bond, idx + 1, forward_price)
+
+
+def price_sheet(
+    discount: DiscountCurve,
+    survival: SurvivalCurve,
+    schedule: Schedule,
+    bond: BondSpec,
+    repo: RepoSpec,
+) -> dict[str, float]:
+    """Prices, annuities, every par spread and the clause's PV of one market, by name.
+
+    Each number is its public pricer's result. The forward bond price and the
+    generalized break-clause spread are added only when the repo ends before
+    the bond matures; the repo is validated as for the replication.
+    """
+    market = (discount, survival, schedule)
+    s_asw = par_asw_spread(*market, bond).spread
+    sheet = {
+        "riskfree_bond_price": price_riskfree_bond(discount, schedule, bond.coupon),
+        "risky_bond_price": price_risky_bond(*market, bond),
+        "risky_floater_price": price_risky_floater(*market, bond.recovery),
+        "annuity_riskfree": annuity_riskfree(discount, schedule),
+        "annuity_defaultable": annuity_defaultable(*market),
+        "cds_par_spread": par_cds_spread(*market, bond.recovery).spread,
+        "asw_par_spread": s_asw,
+        "cancelable_asw_par_spread": par_cancelable_asw_spread(*market, bond).spread,
+        "early_termination_pv": early_termination_pv(*market, bond, s_asw),
+    }
+    g = _grid(*market)
+    last, fair, forward_price = _repo_on_grid(g, schedule, bond, repo)
+    if last < schedule.n_periods:
+        sheet["forward_bond_price"] = _finite("forward bond price", fair)
+        sheet["generalized_cancelable_asw_par_spread"] = (
+            _par_cancelable(g, bond, last, forward_price).spread
+        )
+    return sheet
 
 
 def implied_repo_spreads(

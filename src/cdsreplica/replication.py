@@ -89,6 +89,8 @@ class CashflowLedger:
     def pv(self, discount: DiscountCurve, leg: Leg | None = None) -> float:
         """Discounted value at t0 of the entries (of one leg, or all), the CDS counted
         positive; a discounted entry that is not finite raises NonFiniteResult."""
+        if leg is not None and not isinstance(leg, Leg):
+            raise ValueError(f"leg must be a Leg or None, got {leg!r}")
         legs = Leg if leg is None else (leg,)
         return fsum(t for _, terms in self._columns(discount, legs) for t in terms)
 
@@ -217,9 +219,13 @@ class _CashflowTable(NamedTuple):
     def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
         """Survival, or a default after the unwind, sees the opening, every period
         and the unwind; a default in bucket b sees the opening, the periods before
-        b and its settlement. A bucket outside 1..N raises InconsistentSpecs."""
+        b and its settlement. A bucket that is not an integer in 1..N (a bool
+        included) raises InconsistentSpecs. An integer is what has __index__, as
+        numpy's do; numbers.Integral would cost every CLI start an import."""
         t, last = self.times, self.last
-        if bucket is not None and not 1 <= bucket < len(t):
+        if bucket is not None and (
+            isinstance(bucket, bool) or not hasattr(bucket, "__index__") or not 1 <= bucket < len(t)
+        ):
             raise InconsistentSpecs(f"default bucket {bucket} is not in 1..{len(t) - 1}")
         defaulted = bucket is not None and bucket <= last
         survived = bucket - 1 if defaulted else last
@@ -319,7 +325,7 @@ def portfolio_ledger(
 
     The asset swap and the CDS mature with the repo; a default after the repo
     maturity never touches the (already unwound) portfolio. The scenario's
-    bucket is None (survival) or in 1..N, else InconsistentSpecs.
+    bucket is None (survival) or an integer in 1..N, else InconsistentSpecs.
     """
     g = _grid(discount, survival, schedule)
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled, (asw_spread, cds_spread))

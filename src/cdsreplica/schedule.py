@@ -82,7 +82,7 @@ def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
     (maturity - t0) * frequency must be a finite integer (within 1e-9), at
     most _MAX_PERIODS; both are checked before any date is built.
     """
-    if frequency not in VALID_FREQUENCIES:
+    if isinstance(frequency, bool) or frequency not in VALID_FREQUENCIES:
         raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency}")
     if maturity <= t0:
         raise InvalidInterval(f"maturity {maturity} must exceed anchor {t0}")

@@ -666,6 +666,7 @@ def test_every_public_pricer_returns_finite_numbers_or_a_pricing_error(case):
         lambda: forward_bond_price(d, s, g, spec, repo_maturity),
         lambda: cdsreplica.replication_report(d, s, g, spec, repo_spec, True),
         lambda: cdsreplica.replication_report(d, s, g, spec, repo_spec, False),
+        lambda: cdsreplica.price_sheet(d, s, g, spec, repo_spec),
     ]
     if "quotes" in config:
         pricers.append(lambda: cdsreplica.implied_repo_spreads(*config["quotes"].values()))
@@ -675,10 +676,7 @@ def test_every_public_pricer_returns_finite_numbers_or_a_pricing_error(case):
         except cdsreplica.PricingError:
             continue
         assert all(map(math.isfinite, _numbers_in(result)))
-    # their non-finite numbers are left to the CLI's emission check
-    for price in (lambda: cdsreplica.price_sheet(d, s, g, spec, repo_spec),
-                  lambda: cdsreplica.mc_check(d, s, g, spec, repo_spec, True, 1000, 0)):
-        try:
-            price()
-        except cdsreplica.PricingError:
-            pass
+    try:  # its non-finite numbers are left to the CLI's emission check
+        cdsreplica.mc_check(d, s, g, spec, repo_spec, True, 1000, 0)
+    except cdsreplica.PricingError:
+        pass

@@ -10,6 +10,7 @@ from cdsreplica import (
     CrossedMarket,
     DegenerateAnnuity,
     DiscountCurve,
+    InconsistentSpecs,
     MaturityNotOnGrid,
     NonFiniteResult,
     RepoSpec,
@@ -32,6 +33,7 @@ from cdsreplica import (
     price_riskfree_bond,
     price_risky_bond,
     price_risky_floater,
+    price_sheet,
     standard_asw_pv,
 )
 from enum_oracle import (
@@ -386,6 +388,21 @@ class TestGeneralizedSpread:
         )
         oracle = oracle_par_cds_spread(f1.r, f1.hazard, f1.recovery, f1.times[:3])
         assert got.spread - (fair - 1.0) / got.annuity == pytest.approx(oracle, abs=TOL)
+
+    @pytest.mark.parametrize("repo_maturity,forward_price,message", [
+        (5.0, 1.02, "repo to maturity must use forward price 1, got 1.02"),
+        (3.0, -0.5, "forward price must be positive, got -0.5"),
+        (3.0, 0.0, "forward price must be positive, got 0.0"),
+    ], ids=["to-maturity-off-par", "negative", "zero"])
+    def test_repurchase_price_checked_as_for_the_replication(
+        self, f1, repo_maturity, forward_price, message
+    ):
+        # the repurchase prices that price_sheet and replication_report reject
+        market = (f1.discount, f1.survival, f1.schedule, f1.bond)
+        with pytest.raises(InconsistentSpecs, match=f"^{message}$"):
+            par_cancelable_asw_spread_generalized(*market, repo_maturity, forward_price)
+        with pytest.raises(InconsistentSpecs, match=f"^{message}$"):
+            price_sheet(*market, RepoSpec(0.0, repo_maturity, forward_price))
 
 
 class TestImpliedRepoSpreads:

@@ -179,7 +179,7 @@ class TestPortfolioLedger:
                 0.012, 0.013, True, survival_scenario(f1.survival, f1.schedule),
             )
 
-    @pytest.mark.parametrize("bucket", [0, -1, 6])
+    @pytest.mark.parametrize("bucket", [0, -1, 6, 2.0, 2.5, True])
     def test_bucket_outside_the_grid_rejected(self, f1, bucket):
         # f1 has 5 periods: these buckets index no settlement of the table
         with pytest.raises(InconsistentSpecs, match=rf"default bucket {bucket} is not in 1\.\.5$"):
@@ -187,6 +187,25 @@ class TestPortfolioLedger:
                 f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
                 0.012, 0.013, True, DefaultScenario(bucket, 0.1),
             )
+
+    def test_numpy_integer_bucket_is_that_bucket(self, f1):
+        import numpy as np
+
+        market = (f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001))
+        ledgers = [
+            portfolio_ledger(*market, 0.012, 0.013, True, DefaultScenario(bucket, 0.1))
+            for bucket in (np.int64(2), 2)
+        ]
+        assert ledgers[0] == ledgers[1]
+
+    def test_leg_that_is_not_a_leg_rejected(self, f1):
+        # a string never `is` an entry's leg: it would price as an empty leg, 0.0
+        ledger = portfolio_ledger(
+            f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
+            0.012, 0.013, True, survival_scenario(f1.survival, f1.schedule),
+        )
+        with pytest.raises(ValueError, match="leg must be a Leg or None, got 'bond'"):
+            ledger.pv(f1.discount, "bond")
 
     def test_overflowing_row_is_named_not_summed(self, f1):
         # P and the spread are finite, their product on the repo row is not

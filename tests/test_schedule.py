@@ -35,9 +35,11 @@ def test_non_integral_periods_rejected():
         build_schedule(0.0, 1.3, 4)
 
 
-def test_invalid_frequency_rejected():
+@pytest.mark.parametrize("frequency", [3, True])
+def test_invalid_frequency_rejected(frequency):
+    # True == 1, but a bool is not a frequency
     with pytest.raises(InvalidFrequency):
-        build_schedule(0.0, 5.0, 3)
+        build_schedule(0.0, 5.0, frequency)
 
 
 def test_maturity_before_anchor_rejected():
