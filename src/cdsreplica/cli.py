@@ -40,7 +40,7 @@ from .pricers import (  # noqa: F401
     price_risky_floater,
 )
 from .replication import mc_check, replication_report
-from .schedule import VALID_FREQUENCIES, Schedule, build_schedule
+from .schedule import VALID_FREQUENCIES, Schedule, _is_integer, build_schedule
 
 REPLICATION_TOL = 1e-10
 
@@ -71,7 +71,7 @@ _positive = _number_where(lambda x: x > 0.0, "must be positive")
 
 
 def _frequency(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if value not in VALID_FREQUENCIES:  # not echoed: an integer may have hundreds of digits
         raise ConfigError(f"{path}: must be one of {VALID_FREQUENCIES}")

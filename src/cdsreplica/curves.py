@@ -141,7 +141,7 @@ class DiscountCurve:
         """P at each of the ascending times."""
         return _exp_integrals("discount", self.t0, self.node_times, self.fwd_rates, times)
 
-    def _on(self, schedule: Schedule) -> _Discounting:
+    def _on(self, schedule: Schedule) -> _Pair:
         """(P, eps) on the schedule (see _Grid), P checked positive; evaluated once per schedule."""
         return _memo(self, schedule, _discount_on)
 
@@ -179,8 +179,8 @@ class SurvivalCurve:
         """Q at each of the ascending times."""
         return _exp_integrals("survival", self.t0, self.node_times, self.hazards, times)
 
-    def _on(self, schedule: Schedule) -> tuple[float, ...]:
-        """Q at [t0, t_1, ..., t_N]; evaluated once per schedule."""
+    def _on(self, schedule: Schedule) -> _Pair:
+        """(Q, dq) on the schedule (see _Grid); evaluated once per schedule."""
         return _memo(self, schedule, _survival_on)
 
     def survival_prob(self, t: float) -> float:
@@ -190,8 +190,8 @@ class SurvivalCurve:
 class _Grid(NamedTuple):
     """One market on one schedule; every pricer is a short sum over these sequences.
 
-    p and q hold P and Q at [t0, t_1, ..., t_N]; theta and eps hold the accrual
-    and the floating fixing of periods 1..N, with eps_k * theta_k = P_{k-1} / P_k - 1.
+    p and q hold P and Q at [t0, t_1, ..., t_N]; theta, eps and dq hold periods 1..N: the
+    accrual, the fixing (eps_k theta_k = P_{k-1} / P_k - 1) and the default law Q_{k-1} - Q_k.
     A grid from _grid shares the curves' memoized tuples.
     """
 
@@ -199,16 +199,17 @@ class _Grid(NamedTuple):
     p: Sequence[float]
     q: Sequence[float]
     eps: Sequence[float]
+    dq: Sequence[float]
 
     def window(self, start: int, stop: int) -> "_Grid":
         """The grid of periods start+1..stop, anchored at t_start."""
         return _Grid(
             self.theta[start:stop], self.p[start : stop + 1], self.q[start : stop + 1],
-            self.eps[start:stop],
+            self.eps[start:stop], self.dq[start:stop],
         )
 
 
-_Discounting = tuple[tuple[float, ...], tuple[float, ...]]  # (P, eps) on one schedule
+_Pair = tuple[tuple[float, ...], tuple[float, ...]]  # (P, eps) or (Q, dq) on one schedule
 
 
 def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedule) -> list[float]:
@@ -220,7 +221,7 @@ def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedu
     return curve._at([schedule.t0, *schedule.dates])
 
 
-def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Discounting:
+def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Pair:
     p = tuple(_values_on(discount, "discount", schedule))
     if not all(df > 0.0 for df in p):
         raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
@@ -228,16 +229,17 @@ def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Discounting:
     return p, eps
 
 
-def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> tuple[float, ...]:
-    return tuple(_values_on(survival, "survival", schedule))
+def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> _Pair:
+    q = tuple(_values_on(survival, "survival", schedule))
+    return q, tuple([q0 - q1 for q0, q1 in zip(q, q[1:])])
 
 
 def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
-    """theta, P, Q and eps of the market, each curve evaluated once per schedule (_memo);
-    no survival curve means Q = 1."""
+    """theta, P, Q, eps and dq of the market, each curve evaluated once per schedule
+    (_memo); no survival curve means Q = 1 and dq = 0."""
     p, eps = discount._on(schedule)
-    q = (1.0,) * len(p) if survival is None else survival._on(schedule)
-    return _Grid(schedule.accruals, p, q, eps)
+    q, dq = ((1.0,) * len(p), (0.0,) * len(eps)) if survival is None else survival._on(schedule)
+    return _Grid(schedule.accruals, p, q, eps, dq)
 
 
 @dataclass(frozen=True)
@@ -263,16 +265,10 @@ class DefaultDistribution:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
 
-def _distribution(q: Sequence[float]) -> DefaultDistribution:
-    """p_k = Q(t_{k-1}) - Q(t_k) from Q at [t0, t_1, ..., t_N]."""
-    return DefaultDistribution(
-        bucket_probs=[q0 - q1 for q0, q1 in zip(q, q[1:])], survival_prob=q[-1]
-    )
-
-
 def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDistribution:
     """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k)."""
-    return _distribution(curve._on(schedule))
+    q, dq = curve._on(schedule)
+    return DefaultDistribution(dq, q[-1])
 
 
 def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float, ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, fsum
@@ -46,8 +47,7 @@ class BondSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.coupon):
             raise ValueError("coupon must be finite")
-        if not 0.0 <= self.recovery <= 1.0:
-            raise ValueError("recovery must lie in [0, 1]")
+        _recovery(self.recovery)
 
     @property
     def lgd(self) -> float:
@@ -100,6 +100,13 @@ class ImpliedRepoSpreads(NamedTuple):
     reverse_repo: float
 
 
+def _recovery(recovery: float) -> float:
+    """recovery itself, if it lies in [0, 1], else ValueError; for every pricer that takes one."""
+    if not 0.0 <= recovery <= 1.0:  # also rejects NaN
+        raise ValueError("recovery must lie in [0, 1]")
+    return recovery
+
+
 def _finite(what: str, value: float) -> float:
     """value itself, or NonFiniteResult naming what overflowed or came out NaN."""
     if not math.isfinite(value):
@@ -126,7 +133,7 @@ def _annuity(g: _Grid) -> float:
 
 
 def _default_leg(g: _Grid) -> float:
-    return fsum([p * (q0 - q1) for p, q0, q1 in zip(g.p, g.q, g.q[1:])])
+    return fsum(map(mul, g.p, g.dq))
 
 
 def _note(g: _Grid, rates: Iterable[float], recovery: float) -> float:
@@ -144,7 +151,7 @@ def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
 
 
 def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:
-    riskless = g._replace(q=[1.0] * len(g.p))
+    riskless = g._replace(q=[1.0] * len(g.p), dq=[0.0] * len(g.eps))
     return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), _annuity(riskless))
 
 
@@ -246,7 +253,7 @@ def price_risky_floater(
 ) -> float:
     """Floating-rate note of the same issuer: fixings + principal, recovery on default."""
     g = _grid(discount, survival, schedule)
-    return _finite("risky floater price", _note(g, g.eps, recovery))
+    return _finite("risky floater price", _note(g, g.eps, _recovery(recovery)))
 
 
 def annuity_riskfree(discount: DiscountCurve, schedule: Schedule) -> float:
@@ -268,7 +275,7 @@ def par_cds_spread(
     recovery: float,
 ) -> SpreadResult:
     """Spread equating the premium leg to the protection leg LGD * default_leg_pv."""
-    return _par_cds(_grid(discount, survival, schedule), recovery)
+    return _par_cds(_grid(discount, survival, schedule), _recovery(recovery))
 
 
 def par_asw_spread(

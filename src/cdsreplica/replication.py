@@ -39,7 +39,6 @@ from .curves import (
     DefaultDistribution,
     DiscountCurve,
     SurvivalCurve,
-    _distribution,
     _Grid,
     _grid,
     default_distribution,
@@ -56,7 +55,7 @@ from .pricers import (
     _repo_on_grid,
     _risky_bond,
 )
-from .schedule import Schedule
+from .schedule import Schedule, _is_integer
 
 
 class Leg(Enum):
@@ -219,13 +218,10 @@ class _CashflowTable(NamedTuple):
     def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
         """Survival, or a default after the unwind, sees the opening, every period
         and the unwind; a default in bucket b sees the opening, the periods before
-        b and its settlement. A bucket that is not an integer in 1..N (a bool
-        included) raises InconsistentSpecs. An integer is what has __index__, as
-        numpy's do; numbers.Integral would cost every CLI start an import."""
+        b and its settlement. A bucket that is not an integer (_is_integer) in
+        1..N raises InconsistentSpecs."""
         t, last = self.times, self.last
-        if bucket is not None and (
-            isinstance(bucket, bool) or not hasattr(bucket, "__index__") or not 1 <= bucket < len(t)
-        ):
+        if bucket is not None and (not _is_integer(bucket) or not 1 <= bucket < len(t)):
             raise InconsistentSpecs(f"default bucket {bucket} is not in 1..{len(t) - 1}")
         defaulted = bucket is not None and bucket <= last
         survived = bucket - 1 if defaulted else last
@@ -354,10 +350,8 @@ def replication_report(
     """
     g = _grid(discount, survival, schedule)
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
-    rows = [
-        ScenarioResidual(k, p, residual)
-        for (k, p), residual in zip(_buckets(_distribution(g.q)), table.residuals())
-    ]
+    buckets = _buckets(DefaultDistribution(g.dq, g.q[-1]))
+    rows = [ScenarioResidual(k, p, r) for (k, p), r in zip(buckets, table.residuals())]
     expected = fsum(r.probability * r.residual for r in rows)
     abs_residuals = [abs(r.residual) for r in rows]
     return ReplicationReport(
@@ -395,15 +389,15 @@ def mc_check(
     the seed), so draw i is a pure function of (seed, i): results are bitwise
     reproducible for a given seed regardless of how paths are evaluated. The
     seed is the 128-bit Philox key, and n_paths lies in [1000, 10**8]; each must
-    be an integer (Python or numpy, not a bool), else ConfigError. The paths are
-    counted per bucket, so the moments are O(N) sums over the N + 1 residuals
-    of the market's cashflow table. numpy is imported here, so that pricing and
-    the enumerated report never load it.
+    be an integer (_is_integer), else ConfigError. The paths are counted per
+    bucket, so the moments are O(N) sums over the N + 1 residuals of the
+    market's cashflow table. numpy is imported here, so that pricing and the
+    enumerated report never load it.
     """
     import numpy as np
 
     for name, value in (("paths", n_paths), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ConfigError(f"mc {name}: must be an integer, got {type(value).__name__}")
     if not 1000 <= n_paths <= _MAX_MC_PATHS:
         raise ConfigError(f"mc paths: must lie in [1000, {_MAX_MC_PATHS}], got {n_paths}")
@@ -411,7 +405,7 @@ def mc_check(
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     g = _grid(discount, survival, schedule)
     residuals = np.array(_cashflow_table(g, schedule, bond, repo, clause_enabled).residuals())
-    cumulative = np.cumsum([p for _, p in _buckets(_distribution(g.q))])
+    cumulative = np.cumsum([p for _, p in _buckets(DefaultDistribution(g.dq, g.q[-1]))])
     cumulative[-1] = 1.0  # guard the top bucket against rounding
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
     counts = _bucket_counts(cumulative, uniforms)

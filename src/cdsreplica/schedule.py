@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import (
     ConfigError, InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods,
@@ -19,6 +20,16 @@ VALID_FREQUENCIES = (1, 2, 4, 12)
 
 _GRID_TOL = 1e-9
 _MAX_PERIODS = 10**5  # build_schedule's largest grid; a priced period takes about 780 B
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool: what operator.index takes, which refuses
+    numpy's bool and float arrays; numbers.Integral would cost every CLI start an import."""
+    try:
+        index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,11 +90,15 @@ class Schedule:
 def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
     """Build a regular grid with `frequency` payments per year.
 
+    frequency must be an integer (_is_integer), and t0 and maturity not bools.
     (maturity - t0) * frequency must be a finite integer (within 1e-9), at
     most _MAX_PERIODS; both are checked before any date is built.
     """
-    if isinstance(frequency, bool) or frequency not in VALID_FREQUENCIES:
+    if not _is_integer(frequency) or frequency not in VALID_FREQUENCIES:
         raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency}")
+    for name, value in (("t0", t0), ("maturity", maturity)):
+        if isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number, got the bool {value}")
     if maturity <= t0:
         raise InvalidInterval(f"maturity {maturity} must exceed anchor {t0}")
     n_exact = (maturity - t0) * frequency

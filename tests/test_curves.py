@@ -472,9 +472,11 @@ def test_one_market_evaluates_each_curve_once(monkeypatch):
     default_distribution(s, g)
     enumerate_scenarios(s, g)
     assert counts == {"discount": 1, "survival": 1}
-    # every caller shares P, Q and eps, so they are tuples; the riskless grid shares P and eps
+    # every caller shares P, Q, eps and dq, so they are tuples; the riskless grid shares P and eps
     grid = curves._grid(d, s, g)
-    assert all(type(values) is tuple for values in (grid.p, grid.q, grid.eps))
+    assert all(type(values) is tuple for values in (grid.p, grid.q, grid.eps, grid.dq))
+    assert curves._grid(d, s, g).dq is grid.dq
+    assert default_distribution(s, g).bucket_probs == grid.dq
     assert curves._grid(d, None, g).p is grid.p
     assert curves._grid(d, None, g).eps is forward_fixings(d, g)
 

@@ -137,6 +137,14 @@ class TestRiskyFloater:
         assert got == pytest.approx(oracle, abs=TOL)
 
 
+@pytest.mark.parametrize("recovery", [2.0, -1.0, math.nan])
+@pytest.mark.parametrize("pricer", [par_cds_spread, price_risky_floater])
+def test_bare_recovery_outside_unit_interval_rejected(f1, pricer, recovery):
+    # BondSpec's rule holds for the pricers that take a bare recovery
+    with pytest.raises(ValueError, match=r"recovery must lie in \[0, 1\]"):
+        pricer(f1.discount, f1.survival, f1.schedule, recovery)
+
+
 class TestAnnuities:
     def test_flat_world(self):
         schedule = build_schedule(0.0, 5.0, 1)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from cdsreplica import (
     build_schedule,
     truncate_schedule,
 )
+from cdsreplica.schedule import _is_integer
 
 
 def test_annual_grid():
@@ -35,11 +37,29 @@ def test_non_integral_periods_rejected():
         build_schedule(0.0, 1.3, 4)
 
 
-@pytest.mark.parametrize("frequency", [3, True])
+@pytest.mark.parametrize("frequency", [3, True, 1.0])
 def test_invalid_frequency_rejected(frequency):
     # True == 1, but a bool is not a frequency
     with pytest.raises(InvalidFrequency):
         build_schedule(0.0, 5.0, frequency)
+
+
+@pytest.mark.parametrize(("t0", "maturity", "name"), [(0.0, True, "maturity"), (False, 5.0, "t0")])
+def test_bool_anchor_or_maturity_rejected(t0, maturity, name):
+    # True == 1.0 would build one period to t = 1; False == 0.0 a grid from 0
+    with pytest.raises(ConfigError, match=f"^{name} must be a number"):
+        build_schedule(t0, maturity, 1)
+
+
+@pytest.mark.parametrize(
+    ("value", "expected"),
+    [(3, True), (np.int64(3), True), (np.array(3), True), (10**400, True),
+     (True, False), (np.True_, False), (3.0, False), (np.float64(3.0), False),
+     (np.array(3.0), False), ("3", False), (None, False)],
+)
+def test_one_integer_rule(value, expected):
+    # every ndarray has __index__, so the rule asks operator.index, which refuses a float array
+    assert _is_integer(value) is expected
 
 
 def test_maturity_before_anchor_rejected():
