@@ -6,122 +6,18 @@ and verifies the replication claim cashflow-by-cashflow with an exhaustive
 default-scenario oracle plus a seeded Monte Carlo cross-check.
 """
 
-from .curves import (
-    DefaultDistribution,
-    DiscountCurve,
-    SurvivalCurve,
-    calibrate_flat_hazard,
-    default_distribution,
-    forward_fixings,
-)
-from .errors import (
-    ConfigError,
-    CrossedMarket,
-    DegenerateAnnuity,
-    InconsistentSpecs,
-    InvalidFrequency,
-    InvalidInterval,
-    MaturityNotOnGrid,
-    NonFiniteResult,
-    NonIntegralPeriods,
-    PricingError,
-    QuoteUnattainable,
-    TimeBeforeAnchor,
-)
-from .pricers import (
-    BondSpec,
-    ImpliedRepoSpreads,
-    MtmProfile,
-    RepoSpec,
-    SpreadResult,
-    annuity_defaultable,
-    annuity_riskfree,
-    cancelable_asw_pv,
-    default_leg_pv,
-    early_termination_pv,
-    forward_bond_price,
-    implied_repo_spreads,
-    mtm_profile,
-    par_asw_spread,
-    par_cancelable_asw_spread,
-    par_cancelable_asw_spread_generalized,
-    par_cds_spread,
-    price_riskfree_bond,
-    price_risky_bond,
-    price_risky_floater,
-    price_sheet,
-    standard_asw_pv,
-)
-from .replication import (
-    CashflowEntry,
-    CashflowLedger,
-    DefaultScenario,
-    Leg,
-    McCheckResult,
-    ReplicationReport,
-    ScenarioResidual,
-    enumerate_scenarios,
-    mc_check,
-    portfolio_ledger,
-    replication_report,
-)
-from .schedule import Schedule, build_schedule, truncate_schedule
+from . import curves, errors, pricers, replication, schedule
+from .curves import *
+from .errors import *
+from .pricers import *
+from .replication import *
+from .schedule import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BondSpec",
-    "CashflowEntry",
-    "CashflowLedger",
-    "ConfigError",
-    "CrossedMarket",
-    "DefaultDistribution",
-    "DefaultScenario",
-    "DegenerateAnnuity",
-    "DiscountCurve",
-    "ImpliedRepoSpreads",
-    "InconsistentSpecs",
-    "InvalidFrequency",
-    "InvalidInterval",
-    "Leg",
-    "MaturityNotOnGrid",
-    "McCheckResult",
-    "MtmProfile",
-    "NonFiniteResult",
-    "NonIntegralPeriods",
-    "PricingError",
-    "QuoteUnattainable",
-    "ReplicationReport",
-    "RepoSpec",
-    "ScenarioResidual",
-    "Schedule",
-    "SpreadResult",
-    "SurvivalCurve",
-    "TimeBeforeAnchor",
-    "annuity_defaultable",
-    "annuity_riskfree",
-    "build_schedule",
-    "calibrate_flat_hazard",
-    "cancelable_asw_pv",
-    "default_distribution",
-    "default_leg_pv",
-    "early_termination_pv",
-    "enumerate_scenarios",
-    "forward_bond_price",
-    "forward_fixings",
-    "implied_repo_spreads",
-    "mc_check",
-    "mtm_profile",
-    "par_asw_spread",
-    "par_cancelable_asw_spread",
-    "par_cancelable_asw_spread_generalized",
-    "par_cds_spread",
-    "portfolio_ledger",
-    "price_riskfree_bond",
-    "price_risky_bond",
-    "price_risky_floater",
-    "price_sheet",
-    "replication_report",
-    "standard_asw_pv",
-    "truncate_schedule",
-]
+__all__ = []
+__all__ += curves.__all__
+__all__ += errors.__all__
+__all__ += pricers.__all__
+__all__ += replication.__all__
+__all__ += schedule.__all__

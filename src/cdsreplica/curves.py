@@ -28,7 +28,16 @@ from .errors import (
     QuoteUnattainable,
     TimeBeforeAnchor,
 )
-from .schedule import Schedule
+from .schedule import Schedule, _is_real
+
+__all__ = [
+    "DefaultDistribution",
+    "DiscountCurve",
+    "SurvivalCurve",
+    "calibrate_flat_hazard",
+    "default_distribution",
+    "forward_fixings",
+]
 
 _CALIBRATION_TOL = 1e-12
 _CALIBRATION_MAX_ITER = 200
@@ -234,11 +243,18 @@ def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> _Pair:
     return q, tuple([q0 - q1 for q0, q1 in zip(q, q[1:])])
 
 
+def _riskless(theta: tuple[float, ...], p: Sequence[float], eps: Sequence[float]) -> _Grid:
+    """The grid of an issuer that cannot default: Q = 1 and dq = 0."""
+    return _Grid(theta, p, (1.0,) * len(p), eps, (0.0,) * len(eps))
+
+
 def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
     """theta, P, Q, eps and dq of the market, each curve evaluated once per schedule
-    (_memo); no survival curve means Q = 1 and dq = 0."""
+    (_memo); no survival curve means the riskless grid."""
     p, eps = discount._on(schedule)
-    q, dq = ((1.0,) * len(p), (0.0,) * len(eps)) if survival is None else survival._on(schedule)
+    if survival is None:
+        return _riskless(schedule.accruals, p, eps)
+    q, dq = survival._on(schedule)
     return _Grid(schedule.accruals, p, q, eps, dq)
 
 
@@ -304,9 +320,9 @@ def _calibrate_flat_hazard(
     """
     from .pricers import _par_cds
 
-    if not cds_quote >= 0.0:
+    if not (_is_real(cds_quote) and cds_quote >= 0.0):
         raise ValueError("cds quote must be non-negative")
-    if not 0.0 <= recovery < 1.0:
+    if not (_is_real(recovery) and 0.0 <= recovery < 1.0):
         raise ValueError("recovery must lie in [0, 1)")
     lgd = 1.0 - recovery
     grid = _grid(discount, None, schedule)

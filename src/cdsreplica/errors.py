@@ -1,5 +1,20 @@
 """Exception types raised across the library."""
 
+__all__ = [
+    "ConfigError",
+    "CrossedMarket",
+    "DegenerateAnnuity",
+    "InconsistentSpecs",
+    "InvalidFrequency",
+    "InvalidInterval",
+    "MaturityNotOnGrid",
+    "NonFiniteResult",
+    "NonIntegralPeriods",
+    "PricingError",
+    "QuoteUnattainable",
+    "TimeBeforeAnchor",
+]
+
 
 class PricingError(ValueError):
     """Base class for all library-specific errors."""

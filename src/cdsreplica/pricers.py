@@ -23,9 +23,34 @@ from itertools import repeat
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, fsum
+from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, _riskless, fsum
 from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
-from .schedule import Schedule
+from .schedule import Schedule, _is_real
+
+__all__ = [
+    "BondSpec",
+    "ImpliedRepoSpreads",
+    "MtmProfile",
+    "RepoSpec",
+    "SpreadResult",
+    "annuity_defaultable",
+    "annuity_riskfree",
+    "cancelable_asw_pv",
+    "default_leg_pv",
+    "early_termination_pv",
+    "forward_bond_price",
+    "implied_repo_spreads",
+    "mtm_profile",
+    "par_asw_spread",
+    "par_cancelable_asw_spread",
+    "par_cancelable_asw_spread_generalized",
+    "par_cds_spread",
+    "price_riskfree_bond",
+    "price_risky_bond",
+    "price_risky_floater",
+    "price_sheet",
+    "standard_asw_pv",
+]
 
 _FORWARD_PRICE_TOL = 1e-9
 # The largest par spread (per year) a pricer returns. Every spread row of the
@@ -45,8 +70,8 @@ class BondSpec:
     recovery: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.coupon):
-            raise ValueError("coupon must be finite")
+        if not (_is_real(self.coupon) and math.isfinite(self.coupon)):
+            raise ValueError("coupon must be a finite number")
         _recovery(self.recovery)
 
     @property
@@ -68,11 +93,11 @@ class RepoSpec:
     forward_price: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.spread):
-            raise ValueError("repo spread must be finite")
+        if not (_is_real(self.spread) and math.isfinite(self.spread)):
+            raise ValueError("repo spread must be a finite number")
         for name, value in (("maturity", self.maturity), ("forward price", self.forward_price)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"repo {name} must be finite")
+            if value is not None and not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"repo {name} must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -101,8 +126,9 @@ class ImpliedRepoSpreads(NamedTuple):
 
 
 def _recovery(recovery: float) -> float:
-    """recovery itself, if it lies in [0, 1], else ValueError; for every pricer that takes one."""
-    if not 0.0 <= recovery <= 1.0:  # also rejects NaN
+    """recovery itself, if it is a number (_is_real) in [0, 1], else ValueError; for every
+    pricer that takes one."""
+    if not (_is_real(recovery) and 0.0 <= recovery <= 1.0):  # also rejects NaN
         raise ValueError("recovery must lie in [0, 1]")
     return recovery
 
@@ -151,7 +177,7 @@ def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
 
 
 def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:
-    riskless = g._replace(q=[1.0] * len(g.p), dq=[0.0] * len(g.eps))
+    riskless = _riskless(g.theta, g.p, g.eps)
     return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), _annuity(riskless))
 
 

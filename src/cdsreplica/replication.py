@@ -57,6 +57,19 @@ from .pricers import (
 )
 from .schedule import Schedule, _is_integer
 
+__all__ = [
+    "CashflowEntry",
+    "CashflowLedger",
+    "DefaultScenario",
+    "Leg",
+    "McCheckResult",
+    "ReplicationReport",
+    "ScenarioResidual",
+    "enumerate_scenarios",
+    "mc_check",
+    "portfolio_ledger",
+    "replication_report",
+]
 
 class Leg(Enum):
     BOND = "bond"

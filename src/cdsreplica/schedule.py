@@ -16,6 +16,8 @@ from .errors import (
     ConfigError, InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods,
 )
 
+__all__ = ["Schedule", "build_schedule", "truncate_schedule"]
+
 VALID_FREQUENCIES = (1, 2, 4, 12)
 
 _GRID_TOL = 1e-9
@@ -30,6 +32,12 @@ def _is_integer(value) -> bool:
     except TypeError:
         return False
     return not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A number, not a bool: a value whose type has __float__, which text lacks; numpy
+    scalars pass, and numbers.Real would cost every CLI start an import."""
+    return hasattr(type(value), "__float__") and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,15 +98,15 @@ class Schedule:
 def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
     """Build a regular grid with `frequency` payments per year.
 
-    frequency must be an integer (_is_integer), and t0 and maturity not bools.
+    frequency must be an integer (_is_integer), and t0 and maturity numbers (_is_real).
     (maturity - t0) * frequency must be a finite integer (within 1e-9), at
     most _MAX_PERIODS; both are checked before any date is built.
     """
     if not _is_integer(frequency) or frequency not in VALID_FREQUENCIES:
         raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency}")
     for name, value in (("t0", t0), ("maturity", maturity)):
-        if isinstance(value, bool):
-            raise ConfigError(f"{name} must be a number, got the bool {value}")
+        if not _is_real(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
     if maturity <= t0:
         raise InvalidInterval(f"maturity {maturity} must exceed anchor {t0}")
     n_exact = (maturity - t0) * frequency

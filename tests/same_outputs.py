@@ -9,8 +9,10 @@ The script prints one JSON line:
   op of seeds 1-2, per workload;
 - the digest of the exit code, stdout and stderr of every `cli-mix` call of
   seeds 1-6, run in process through `cli.main`, once plain, once with
-  `--pretty` and once with `--pretty --bp`.
-Run it on two checkouts: the same line means the same outputs.
+  `--pretty` and once with `--pretty --bp`;
+- the digest of `sorted(cdsreplica.__all__)`, the package's public names.
+Run it on two checkouts: the same line means the same outputs and the same
+public names.
 
 It only reads `bench/` (the pools, the ops, `digest`, `cli_items`,
 `write_configs` and `run_cli_in_process`); the configs go to a temporary
@@ -33,6 +35,7 @@ CLI_FLAGS = ((), ("--pretty",), ("--pretty", "--bp"))
 
 def main(root: Path) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import cdsreplica
     from tracing import NullTracer
     from workloads import (
         book_long_op, book_short_op, cli_items, digest, long_markets, run_cli_in_process,
@@ -56,6 +59,8 @@ def main(root: Path) -> dict:
                         for o in run_cli_in_process(call, path)
                     ))
     line["cli-mix"] = {"calls": len(outputs), "digest": digest(outputs)}
+    names = sorted(cdsreplica.__all__)
+    line["public-names"] = {"names": len(names), "digest": digest(names)}
     return line
 
 

@@ -1,13 +1,16 @@
 import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import example, given, settings
@@ -466,6 +469,24 @@ def test_cli_keeps_every_name_the_benchmark_wraps(monkeypatch):
 
     assert CLI_CALLS
     assert [name for name in CLI_CALLS if not hasattr(cli_module, name)] == []
+
+
+def test_each_public_name_is_declared_once():
+    # a name's module lists it in its __all__; the package only re-exports those lists
+    modules = [importlib.import_module(f"cdsreplica.{info.name}")
+               for info in pkgutil.iter_modules(cdsreplica.__path__)]
+    public = cdsreplica.__all__
+    assert len(set(public)) == len(public)
+    for name in public:
+        owners = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert len(owners) == 1, name
+        value = getattr(cdsreplica, name)
+        assert not isinstance(value, ModuleType), name
+        assert value is getattr(owners[0], name)
+        assert value.__module__ == owners[0].__name__, name  # each is a class or a function
+    bound = {name for name, value in vars(cdsreplica).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert bound == set(public)
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -287,6 +287,17 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_flat_hazard(discount, schedule, -0.01, 0.4)
 
+    @pytest.mark.parametrize(
+        "quote,recovery,match",
+        [("0.01", 0.4, "cds quote"), (0.01, "0.4", "recovery"), (True, 0.4, "cds quote"),
+         (0.01, False, "recovery")],
+    )
+    def test_text_or_bool_input_rejected(self, quote, recovery, match):
+        # True would calibrate to a quote of 1; text failed with a bare TypeError
+        schedule = build_schedule(0.0, 5.0, 1)
+        with pytest.raises(ValueError, match=match):
+            calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, quote, recovery)
+
 
 # Worst point count measured over 9,000 random markets in these ranges (1-4-node
 # discount curves, h log-uniform and uniform on [1e-6, 9]): 14, where bisection

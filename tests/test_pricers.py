@@ -137,10 +137,10 @@ class TestRiskyFloater:
         assert got == pytest.approx(oracle, abs=TOL)
 
 
-@pytest.mark.parametrize("recovery", [2.0, -1.0, math.nan])
+@pytest.mark.parametrize("recovery", [2.0, -1.0, math.nan, True, "0.4"])
 @pytest.mark.parametrize("pricer", [par_cds_spread, price_risky_floater])
 def test_bare_recovery_outside_unit_interval_rejected(f1, pricer, recovery):
-    # BondSpec's rule holds for the pricers that take a bare recovery
+    # BondSpec's rule holds for the pricers that take a bare recovery; True is no 1.0
     with pytest.raises(ValueError, match=r"recovery must lie in \[0, 1\]"):
         pricer(f1.discount, f1.survival, f1.schedule, recovery)
 
@@ -522,16 +522,19 @@ def test_vanishing_riskfree_annuity_guarded(f1):
 @pytest.mark.parametrize(
     "fields",
     [dict(spread=math.nan), dict(spread=math.inf), dict(spread=0.0, maturity=math.nan),
-     dict(spread=0.0, forward_price=-math.inf)],
+     dict(spread=0.0, forward_price=-math.inf), dict(spread=True), dict(spread="0.01")],
 )
 def test_non_finite_repo_spec_rejected(fields):
+    # a bool or text is not a finite number: True would price as 1.0, and text
+    # failed with a bare TypeError
     with pytest.raises(ValueError):
         RepoSpec(**fields)
 
 
 @pytest.mark.parametrize(
     "fields,match",
-    [(dict(coupon=math.inf, recovery=0.4), "finite"), (dict(coupon=0.05, recovery=1.5), "recovery")],
+    [(dict(coupon=math.inf, recovery=0.4), "finite"), (dict(coupon=0.05, recovery=1.5), "recovery"),
+     (dict(coupon=0.05, recovery=True), "recovery"), (dict(coupon="0.05", recovery=0.4), "finite")],
 )
 def test_invalid_bond_spec_rejected(fields, match):
     with pytest.raises(ValueError, match=match):

@@ -15,7 +15,7 @@ from cdsreplica import (
     build_schedule,
     truncate_schedule,
 )
-from cdsreplica.schedule import _is_integer
+from cdsreplica.schedule import _is_integer, _is_real
 
 
 def test_annual_grid():
@@ -44,9 +44,13 @@ def test_invalid_frequency_rejected(frequency):
         build_schedule(0.0, 5.0, frequency)
 
 
-@pytest.mark.parametrize(("t0", "maturity", "name"), [(0.0, True, "maturity"), (False, 5.0, "t0")])
+@pytest.mark.parametrize(
+    ("t0", "maturity", "name"),
+    [(0.0, True, "maturity"), (False, 5.0, "t0"), (0.0, "5", "maturity")],
+)
 def test_bool_anchor_or_maturity_rejected(t0, maturity, name):
-    # True == 1.0 would build one period to t = 1; False == 0.0 a grid from 0
+    # True == 1.0 would build one period to t = 1; False == 0.0 a grid from 0; text
+    # failed with a bare TypeError
     with pytest.raises(ConfigError, match=f"^{name} must be a number"):
         build_schedule(t0, maturity, 1)
 
@@ -60,6 +64,16 @@ def test_bool_anchor_or_maturity_rejected(t0, maturity, name):
 def test_one_integer_rule(value, expected):
     # every ndarray has __index__, so the rule asks operator.index, which refuses a float array
     assert _is_integer(value) is expected
+
+
+@pytest.mark.parametrize(
+    ("value", "expected"),
+    [(0.4, True), (5, True), (np.float32(0.05), True), (np.int64(5), True), (10**400, True),
+     (True, False), ("0.4", False), (None, False)],
+)
+def test_one_real_rule(value, expected):
+    # a type with __float__ that is not bool: numpy scalars pass, text does not
+    assert _is_real(value) is expected
 
 
 def test_maturity_before_anchor_rejected():
