@@ -30,6 +30,7 @@ is one exact sum over its slice, with the CDS negated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul, neg
@@ -290,6 +291,7 @@ def _cashflow_table(
     asw_spread, cds_spread = spreads
     terminal_price = _finite("forward bond price", fair)
     bond_price = _finite("bond price", _risky_bond(g, bond))
+    lgd = bond.lgd
     mtm_values = None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread)
     asw_spread = _finite("asw spread", asw_spread)
     cds_spread = _finite("cds spread", cds_spread)
@@ -305,7 +307,7 @@ def _cashflow_table(
         (Leg.BOND, [bond.recovery * r for r in rolled]),
         (Leg.REPO, [-r for r in rolled]),
         *([] if mtm_values is None else [(Leg.ASSET_SWAP, mtm_values)]),
-        (Leg.CDS, [-bond.lgd * r for r in rolled]),
+        (Leg.CDS, [-lgd * r for r in rolled]),
     ]
     opening = [
         (Leg.BOND, [-bond_price]),
@@ -317,6 +319,41 @@ def _cashflow_table(
         last, (schedule.t0, *schedule.dates), g.p, opening, periods, settlements, unwind,
         fwd_price, asw_spread, cds_spread,
     )
+
+
+# The last evaluation of _table_and_residuals: ((P, Q, schedule, clause, bond, repo),
+# (table, residuals)), one slot, replaced whole, as curves._memo keeps a curve's values.
+_last_table = None
+
+
+def _same(stored, given) -> bool:
+    """given is the stored spec, or one of its type with the same repr: equal field for
+    field in type and bits, which == is not (0.0 == -0.0, 1 == 1.0, float32(0.5) == 0.5)."""
+    return stored is given or (type(stored) is type(given) and repr(stored) == repr(given))
+
+
+def _table_and_residuals(
+    g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool,
+) -> tuple[_CashflowTable, tuple[float, ...]]:
+    """The market's cashflow table at par spreads and its N + 1 residuals, kept as the
+    last evaluation, so a report followed by mc_check on one market builds them once.
+
+    A call hits only when g's P and Q and the schedule are the very objects stored
+    (the curves' memoized tuples on that schedule, so identity pins both curves),
+    the clause is equal, and bond and repo are the same specs (_same). An
+    evaluation that raises stores nothing; a race between threads only evaluates twice.
+    """
+    global _last_table
+    last = _last_table
+    if last is not None:
+        (p, q, stored_schedule, clause, stored_bond, stored_repo), value = last
+        if (p is g.p and q is g.q and stored_schedule is schedule and clause == clause_enabled
+                and _same(stored_bond, bond) and _same(stored_repo, repo)):
+            return value
+    table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
+    value = table, tuple(table.residuals())
+    _last_table = (g.p, g.q, schedule, clause_enabled, bond, repo), value
+    return value
 
 
 def portfolio_ledger(
@@ -362,9 +399,9 @@ def replication_report(
     survival ledger.
     """
     g = _grid(discount, survival, schedule)
-    table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
+    table, residuals = _table_and_residuals(g, schedule, bond, repo, clause_enabled)
     buckets = _buckets(DefaultDistribution(g.dq, g.q[-1]))
-    rows = [ScenarioResidual(k, p, r) for (k, p), r in zip(buckets, table.residuals())]
+    rows = [ScenarioResidual(k, p, r) for (k, p), r in zip(buckets, residuals)]
     expected = fsum(r.probability * r.residual for r in rows)
     abs_residuals = [abs(r.residual) for r in rows]
     return ReplicationReport(
@@ -404,8 +441,13 @@ def mc_check(
     seed is the 128-bit Philox key, and n_paths lies in [1000, 10**8]; each must
     be an integer (_is_integer), else ConfigError. The paths are counted per
     bucket, so the moments are O(N) sums over the N + 1 residuals of the
-    market's cashflow table. numpy is imported here, so that pricing and the
-    enumerated report never load it.
+    market's cashflow table, which a report on the same market has already
+    built (_table_and_residuals). The draws come in two chunks, split at
+    half = n_paths // 8 * 4, a multiple of 4 because Philox4x64 yields 4 draws
+    per counter step: a worker thread draws and counts draws half..n_paths - 1
+    while this thread does 0..half - 1. The two integer counts add exactly, so
+    every result is that of the one stream.
+    numpy is imported here, so that pricing and the enumerated report never load it.
     """
     import numpy as np
 
@@ -417,11 +459,34 @@ def mc_check(
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     g = _grid(discount, survival, schedule)
-    residuals = np.array(_cashflow_table(g, schedule, bond, repo, clause_enabled).residuals())
+    residuals = np.array(_table_and_residuals(g, schedule, bond, repo, clause_enabled)[1])
     cumulative = np.cumsum([p for _, p in _buckets(DefaultDistribution(g.dq, g.q[-1]))])
     cumulative[-1] = 1.0  # guard the top bucket against rounding
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
-    counts = _bucket_counts(cumulative, uniforms)
+
+    half = n_paths // 8 * 4
+    # both generators are made in this thread, so that the worker never races it to
+    # numpy's lazy import of numpy.random, which costs a switch interval or more
+    first, second = (
+        np.random.Generator(np.random.Philox(key=seed, counter=[start // 4, 0, 0, 0]))
+        for start in (0, half)
+    )
+    worker_out = {}
+
+    def count_second() -> None:
+        try:
+            worker_out["counts"] = _bucket_counts(cumulative, second.random(n_paths - half))
+        except BaseException as exc:  # re-raised below, never left to threading.excepthook
+            worker_out["error"] = exc
+
+    worker = threading.Thread(target=count_second, name="cdsreplica-mc-check")
+    worker.start()
+    try:
+        counts = _bucket_counts(cumulative, first.random(half))
+    finally:
+        worker.join()
+    if "error" in worker_out:
+        raise worker_out["error"]
+    counts += worker_out["counts"]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at emission
         estimate = float(counts @ residuals / n_paths)
         variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))

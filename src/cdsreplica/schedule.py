@@ -35,9 +35,12 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A number, not a bool: a value whose type has __float__, which text lacks; numpy
-    scalars pass, and numbers.Real would cost every CLI start an import."""
-    return hasattr(type(value), "__float__") and not isinstance(value, bool)
+    """A number, not a bool: a value whose type has __float__, which text lacks, and is not
+    named bool, which refuses Python's bool and numpy's (`numpy.bool`, `numpy.bool_` before
+    numpy 2) without importing numpy. Other numpy scalars pass; numbers.Real would cost
+    every CLI start an import."""
+    kind = type(value)
+    return hasattr(kind, "__float__") and kind.__name__ not in ("bool", "bool_")
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,16 @@ The script prints one JSON line:
 - the digest of the exit code, stdout and stderr of every `cli-mix` call of
   seeds 1-6, run in process through `cli.main`, once plain, once with
   `--pretty` and once with `--pretty --bp`;
+- the digest of every `mc_check` result at MC_PATHS paths and MC_SEEDS seeds on
+  the seed-1 `book-long` markets and the first 40 `book-short` markets, clause
+  on, and clause off where the repo runs to maturity: path counts on both
+  sides of a multiple of 4, and the lowest and highest Philox keys;
 - the digest of `sorted(cdsreplica.__all__)`, the package's public names.
 Run it on two checkouts: the same line means the same outputs and the same
 public names.
 
-It only reads `bench/` (the pools, the ops, `digest`, `cli_items`,
-`write_configs` and `run_cli_in_process`); the configs go to a temporary
+It only reads `bench/` (the pools, the ops, `_build_market`, `_repo`, `digest`,
+`cli_items`, `write_configs` and `run_cli_in_process`); the configs go to a temporary
 directory, whose path is masked in the outputs. A benchmark change that renames
 any of those helpers must update this script.
 """
@@ -31,6 +35,8 @@ from pathlib import Path
 BOOK_SEEDS = (1, 2)
 CLI_SEEDS = range(1, 7)
 CLI_FLAGS = ((), ("--pretty",), ("--pretty", "--bp"))
+MC_PATHS = (1000, 1001, 1003, 99_999)
+MC_SEEDS = (0, 2**128 - 1)
 
 
 def main(root: Path) -> dict:
@@ -38,8 +44,8 @@ def main(root: Path) -> dict:
     import cdsreplica
     from tracing import NullTracer
     from workloads import (
-        book_long_op, book_short_op, cli_items, digest, long_markets, run_cli_in_process,
-        short_markets, write_configs,
+        _build_market, _repo, book_long_op, book_short_op, cli_items, digest, long_markets,
+        run_cli_in_process, short_markets, write_configs,
     )
 
     line = {}
@@ -59,6 +65,13 @@ def main(root: Path) -> dict:
                         for o in run_cli_in_process(call, path)
                     ))
     line["cli-mix"] = {"calls": len(outputs), "digest": digest(outputs)}
+    checks = []
+    for spec in [*long_markets(1), *short_markets(1)[:40]]:
+        market = _build_market(spec, NullTracer())
+        for clause in (True, False) if spec.repo_maturity is None else (True,):
+            checks += [cdsreplica.mc_check(*market, _repo(spec), clause, n, seed)
+                       for n in MC_PATHS for seed in MC_SEEDS]
+    line["mc-check"] = {"checks": len(checks), "digest": digest(checks)}
     names = sorted(cdsreplica.__all__)
     line["public-names"] = {"names": len(names), "digest": digest(names)}
     return line

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,10 +138,11 @@ class TestRiskyFloater:
         assert got == pytest.approx(oracle, abs=TOL)
 
 
-@pytest.mark.parametrize("recovery", [2.0, -1.0, math.nan, True, "0.4"])
+@pytest.mark.parametrize("recovery", [2.0, -1.0, math.nan, True, np.True_, "0.4"])
 @pytest.mark.parametrize("pricer", [par_cds_spread, price_risky_floater])
 def test_bare_recovery_outside_unit_interval_rejected(f1, pricer, recovery):
-    # BondSpec's rule holds for the pricers that take a bare recovery; True is no 1.0
+    # BondSpec's rule holds for the pricers that take a bare recovery; True, numpy's
+    # included, is no 1.0
     with pytest.raises(ValueError, match=r"recovery must lie in \[0, 1\]"):
         pricer(f1.discount, f1.survival, f1.schedule, recovery)
 
@@ -534,7 +536,8 @@ def test_non_finite_repo_spec_rejected(fields):
 @pytest.mark.parametrize(
     "fields,match",
     [(dict(coupon=math.inf, recovery=0.4), "finite"), (dict(coupon=0.05, recovery=1.5), "recovery"),
-     (dict(coupon=0.05, recovery=True), "recovery"), (dict(coupon="0.05", recovery=0.4), "finite")],
+     (dict(coupon=0.05, recovery=True), "recovery"), (dict(coupon="0.05", recovery=0.4), "finite"),
+     (dict(coupon=0.05, recovery=np.True_), "recovery")],
 )
 def test_invalid_bond_spec_rejected(fields, match):
     with pytest.raises(ValueError, match=match):

@@ -1,6 +1,8 @@
 import math
 import random
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -458,6 +460,135 @@ class TestMcCheck:
             DiscountCurve.flat(-100.0), f1.survival, f1.schedule, f1.bond, repo, True, 1000, 0
         )
         assert not math.isfinite(result.std_error)
+
+
+class TestMcSplit:
+    """mc_check draws in two chunks, the second on a worker thread; the counts add exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    @pytest.mark.parametrize("n_paths", [1000, 1001, 1003, 99_999])
+    def test_counts_are_the_single_stream_buckets(self, f1, monkeypatch, n_paths, seed):
+        repo = RepoSpec(spread=0.001)
+        report = replication_report(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False)
+        residuals = np.array([r.residual for r in report.scenarios])
+        cumulative = np.cumsum([r.probability for r in report.scenarios])
+        cumulative[-1] = 1.0
+        single = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
+        expected = np.bincount(np.searchsorted(cumulative, single, side="right"),
+                               minlength=len(residuals))
+        caller, chunks = threading.current_thread(), {}
+        real = replication._bucket_counts
+
+        def recorded(cumulative, uniforms):
+            drawn = uniforms.copy()  # before _bucket_counts sorts them
+            counts = real(cumulative, uniforms)
+            chunks[threading.current_thread() is caller] = drawn, counts.copy()
+            return counts
+
+        monkeypatch.setattr(replication, "_bucket_counts", recorded)
+        result = mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False,
+                          n_paths, seed)
+        (first, first_counts), (second, second_counts) = chunks[True], chunks[False]
+        # this thread draws 0..h - 1 and the worker h..n_paths - 1, h a multiple of 4
+        assert len(first) == n_paths // 8 * 4
+        assert np.concatenate([first, second]).tobytes() == single.tobytes()
+        assert (first_counts + second_counts).tolist() == expected.tolist()
+        # the moments of one stream's counts, bit for bit
+        estimate = float(expected @ residuals / n_paths)
+        variance = float(expected @ (residuals - estimate) ** 2 / (n_paths - 1))
+        assert result == (estimate, math.sqrt(variance) / math.sqrt(n_paths))
+
+    @pytest.mark.parametrize("raising", ["worker", "caller"])
+    def test_a_raising_chunk_raises_in_the_caller(self, f1, monkeypatch, raising):
+        # the worker's exception reaches the caller, never threading.excepthook (which
+        # the suite's filterwarnings turns into a failure), and no thread outlives the call
+        caller = threading.current_thread()
+        error = MemoryError("chunk")
+        real = replication._bucket_counts
+
+        def failing(cumulative, uniforms):
+            if (threading.current_thread() is caller) == (raising == "caller"):
+                raise error
+            return real(cumulative, uniforms)
+
+        monkeypatch.setattr(replication, "_bucket_counts", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError) as raised:
+            mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
+                     True, 2000, seed=5)
+        assert raised.value is error
+        assert threading.active_count() == threads
+
+
+class TestTableMemo:
+    """A report followed by mc_check on one market builds the cashflow table once."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """Calls of _cashflow_table, from an empty memo."""
+        calls = []
+        real = replication._cashflow_table
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(replication, "_last_table", None)
+        monkeypatch.setattr(replication, "_cashflow_table", counted)
+        return calls
+
+    def test_report_then_mc_check_builds_one_table(self, f1, tables):
+        market = f1.discount, f1.survival, f1.schedule, f1.bond
+        replication_report(*market, RepoSpec(spread=0.001), True)
+        mc_check(*market, RepoSpec(spread=0.001), True, 2000, seed=5)  # an equal, fresh repo
+        assert len(tables) == 1
+
+    def test_mc_check_bits_do_not_depend_on_a_prior_report(self, f1, monkeypatch):
+        market = f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001), False
+        monkeypatch.setattr(replication, "_last_table", None)
+        alone = mc_check(*market, 20_000, seed=42)
+        monkeypatch.setattr(replication, "_last_table", None)
+        replication_report(*market)
+        after_report = mc_check(*market, 20_000, seed=42)
+        assert repr(after_report) == repr(alone)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({}, {"schedule": build_schedule(0.0, 5.0, 1)}),
+            ({}, {"discount": DiscountCurve.flat(0.02)}),
+            ({}, {"survival": SurvivalCurve.flat(0.02)}),
+            ({}, {"clause": False}),
+            ({}, {"bond": BondSpec(coupon=0.06, recovery=0.4)}),
+            ({"repo": RepoSpec(0.0)}, {"repo": RepoSpec(-0.0)}),
+            ({"repo": RepoSpec(2.0**-10)}, {"repo": RepoSpec(np.float32(2.0**-10))}),
+            ({"repo": RepoSpec(0.0, maturity=5.0)}, {"repo": RepoSpec(0.0, maturity=5)}),
+        ],
+        ids=["schedule", "discount", "survival", "clause", "bond", "negative_zero", "float32",
+             "int_for_float"],
+    )
+    def test_a_different_market_rebuilds_the_table(self, f1, tables, first, second):
+        # equal but distinct curves and schedules are other markets, and so are specs
+        # that == calls equal but whose fields differ in sign or type
+        first = {**dict(discount=f1.discount, survival=f1.survival, schedule=f1.schedule,
+                        bond=f1.bond, repo=RepoSpec(0.001), clause=True), **first}
+        second = {**first, **second}
+        replication_report(*first.values())
+        report = replication_report(*second.values())
+        assert len(tables) == 2
+        assert replication_report(*second.values()) == report  # the second is kept
+        assert len(tables) == 2
+
+    def test_an_evaluation_that_raises_stores_nothing(self, f1, tables):
+        market = f1.discount, f1.survival, f1.schedule, f1.bond
+        replication_report(*market, RepoSpec(spread=0.001), True)
+        stored = replication._last_table
+        early = RepoSpec(spread=0.001, maturity=3.0)
+        for _ in range(2):  # no clause with an early repo: nothing to store, both times
+            with pytest.raises(InconsistentSpecs):
+                replication_report(*market, early, False)
+        assert replication._last_table is stored
+        assert len(tables) == 3
 
 
 def _mc_cases():

@@ -69,10 +69,12 @@ def test_one_integer_rule(value, expected):
 @pytest.mark.parametrize(
     ("value", "expected"),
     [(0.4, True), (5, True), (np.float32(0.05), True), (np.int64(5), True), (10**400, True),
-     (True, False), ("0.4", False), (None, False)],
+     (np.float64(2.5), True), (True, False), (np.True_, False), (np.False_, False),
+     ("0.4", False), (None, False)],
 )
 def test_one_real_rule(value, expected):
-    # a type with __float__ that is not bool: numpy scalars pass, text does not
+    # a type with __float__ that is not bool: numpy scalars pass but numpy's bool
+    # does not, and text does not
     assert _is_real(value) is expected
 
 
