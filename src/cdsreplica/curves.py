@@ -28,7 +28,7 @@ from .errors import (
     QuoteUnattainable,
     TimeBeforeAnchor,
 )
-from .schedule import Schedule, _is_real
+from .schedule import Schedule, _is_real, _real, _reals
 
 __all__ = [
     "DefaultDistribution",
@@ -131,15 +131,19 @@ def _memo(curve, schedule: Schedule, evaluate):
 
 @dataclass(frozen=True)
 class DiscountCurve:
-    """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate)."""
+    """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate).
+
+    t0, the node times and the rates must be numbers (_is_real), else ValueError.
+    """
 
     node_times: tuple[float, ...]
     fwd_rates: tuple[float, ...]
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_times", tuple(float(t) for t in self.node_times))
-        object.__setattr__(self, "fwd_rates", tuple(float(r) for r in self.fwd_rates))
+        _real("t0", self.t0)
+        object.__setattr__(self, "node_times", _reals("node_times", self.node_times))
+        object.__setattr__(self, "fwd_rates", _reals("fwd_rates", self.fwd_rates))
         _validate_segments(self.t0, self.node_times, self.fwd_rates)
 
     @classmethod
@@ -167,15 +171,19 @@ class DiscountCurve:
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """Issuer survival curve Q(t0, t) = exp(-integral of the hazard rate)."""
+    """Issuer survival curve Q(t0, t) = exp(-integral of the hazard rate).
+
+    t0, the node times and the hazards must be numbers (_is_real), else ValueError.
+    """
 
     node_times: tuple[float, ...]
     hazards: tuple[float, ...]
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_times", tuple(float(t) for t in self.node_times))
-        object.__setattr__(self, "hazards", tuple(float(h) for h in self.hazards))
+        _real("t0", self.t0)
+        object.__setattr__(self, "node_times", _reals("node_times", self.node_times))
+        object.__setattr__(self, "hazards", _reals("hazards", self.hazards))
         _validate_segments(self.t0, self.node_times, self.hazards)
         if any(h < 0.0 for h in self.hazards):
             raise ValueError("hazard rates must be non-negative")

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, _riskless, fsum
 from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
-from .schedule import Schedule, _is_real
+from .schedule import Schedule, _is_real, _real
 
 __all__ = [
     "BondSpec",
@@ -248,6 +248,7 @@ def _repo_on_grid(
 
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Sum of c * theta_k * P(t_k) plus P(t_N)."""
+    _real("coupon", coupon)
     price = _note(_grid(discount, None, schedule), repeat(coupon), 0.0)
     return _finite("risk-free bond price", price)
 
@@ -338,6 +339,7 @@ def standard_asw_pv(
     The swap runs to t_N regardless of default; the upfront is the
     pull-to-par of the bond.
     """
+    _real("spread", spread)
     g = _grid(discount, survival, schedule)
     pv = fsum(_swap_payments(g, bond.coupon, spread)) + (_risky_bond(g, bond) - 1.0)
     return _finite("standard asset swap PV", pv)
@@ -351,6 +353,7 @@ def cancelable_asw_pv(
     spread: float,
 ) -> float:
     """Holder PV of the break-clause asset swap: payments gated on survival."""
+    _real("spread", spread)
     g = _grid(discount, survival, schedule)
     payments = _swap_payments(g, bond.coupon, spread)
     pv = fsum([pay * q for pay, q in zip(payments, g.q[1:])]) + (_risky_bond(g, bond) - 1.0)
@@ -365,6 +368,7 @@ def mtm_profile(
     Deterministic rates make the conditional expectation a plain discounted
     tail sum: values[k-1] = sum over h >= k of (-c + eps + s) * theta_h * P(t_k, t_h).
     """
+    _real("spread", spread)
     values = tuple(_mtm_values(_grid(discount, None, schedule), bond.coupon, spread))
     for k, value in enumerate(values, start=1):
         if not math.isfinite(value):
@@ -387,6 +391,7 @@ def early_termination_pv(
     forfeited with the probability of a default at or before it:
     -sum of pay_k * (Q(t0) - Q(t_k)).
     """
+    _real("spread", spread)
     etp = _early_termination(_grid(discount, survival, schedule), bond.coupon, spread)
     return _finite("early termination PV", etp)
 
@@ -404,7 +409,7 @@ def forward_bond_price(
     Q(t0, t) / Q(t0, T_r); at T_r = t_N this is the unit redemption. Before
     t_N, a P(T_r) * Q(T_r) that underflows to 0 raises DegenerateAnnuity.
     """
-    idx = schedule.index_at(repo_maturity)
+    idx = schedule.index_at(_real("repo_maturity", repo_maturity))
     price = _forward_bond(_grid(discount, survival, schedule), bond, idx)
     return _finite("forward bond price", price)
 
@@ -422,8 +427,8 @@ def par_cancelable_asw_spread_generalized(
     (X - floater(T_r)) over the defaultable annuity to T_r; reduces to the
     plain break-clause spread at T_r = t_N with X = 1.
     """
-    idx = schedule.index_at(repo_maturity)
-    forward_price = _repurchase_price(schedule, idx, forward_price)
+    idx = schedule.index_at(_real("repo_maturity", repo_maturity))
+    forward_price = _repurchase_price(schedule, idx, _real("forward_price", forward_price))
     return _par_cancelable(_grid(discount, survival, schedule), bond, idx + 1, forward_price)
 
 
@@ -467,6 +472,9 @@ def implied_repo_spreads(
     cds_bid: float, cds_ask: float, aswc_bid: float, aswc_ask: float
 ) -> ImpliedRepoSpreads:
     """Repo and reverse-repo spreads implied by CDS and break-clause ASW quotes."""
+    for name, quote in (("cds_bid", cds_bid), ("cds_ask", cds_ask),
+                        ("aswc_bid", aswc_bid), ("aswc_ask", aswc_ask)):
+        _real(name, quote)
     if cds_bid > cds_ask:
         raise CrossedMarket(f"cds bid {cds_bid} exceeds ask {cds_ask}")
     if aswc_bid > aswc_ask:

@@ -39,16 +39,42 @@ def _is_real(value) -> bool:
     named bool, which refuses Python's bool and numpy's (`numpy.bool`, `numpy.bool_` before
     numpy 2) without importing numpy. Other numpy scalars pass; numbers.Real would cost
     every CLI start an import."""
-    kind = type(value)
+    return _is_real_type(type(value))
+
+
+def _is_real_type(kind: type) -> bool:
+    """_is_real's rule on a type: every value of the type passes it or none does."""
     return hasattr(kind, "__float__") and kind.__name__ not in ("bool", "bool_")
+
+
+def _real(name: str, value):
+    """value itself, if it is a number (_is_real), else ValueError naming it."""
+    if not _is_real_type(type(value)):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    return value
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """The values as floats, if each is a number (_is_real), else ValueError naming them.
+    The rule is checked once per distinct type, not once per value, and values that are
+    all floats already are kept as they are: together that costs what float() on each did."""
+    values = tuple(values)
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return values
+    for kind in kinds:
+        if not _is_real_type(kind):
+            raise ValueError(f"{name} must be numbers, got {kind.__name__}")
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Payment dates t_1 < ... < t_N with accruals theta_k = t_k - t_{k-1}.
 
-    The accruals are derived from the dates. Immutable after construction;
-    safe to share across threads.
+    t0 and the dates must be numbers (_is_real), else ValueError; the dates are
+    kept as floats. The accruals are derived from the dates. Immutable after
+    construction; safe to share across threads.
     """
 
     t0: float
@@ -56,7 +82,8 @@ class Schedule:
     accruals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        dates = tuple([float(t) for t in self.dates])
+        _real("schedule t0", self.t0)
+        dates = _reals("schedule dates", self.dates)
         if not dates:
             raise ValueError("schedule needs at least one payment date")
         accruals = []

@@ -1,6 +1,7 @@
 """Digest every benchmark output of one checkout, to show that a change moves none.
 
     python tests/same_outputs.py ROOT
+    python tests/same_outputs.py PARENT CHANGE
 
 ROOT is a checkout of this repository. Its `src` and `bench` directories go
 first on sys.path, so the package and the benchmark's inputs are ROOT's own.
@@ -15,8 +16,9 @@ The script prints one JSON line:
   on, and clause off where the repo runs to maturity: path counts on both
   sides of a multiple of 4, and the lowest and highest Philox keys;
 - the digest of `sorted(cdsreplica.__all__)`, the package's public names.
-Run it on two checkouts: the same line means the same outputs and the same
-public names.
+The same line for two checkouts means the same outputs and the same public names.
+Given two roots, the script digests each in its own interpreter, prints both lines
+(PARENT's first), and exits 1 naming every digest that differs.
 
 It only reads `bench/` (the pools, the ops, `_build_market`, `_repo`, `digest`,
 `cli_items`, `write_configs` and `run_cli_in_process`); the configs go to a temporary
@@ -27,6 +29,7 @@ any of those helpers must update this script.
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -77,7 +80,24 @@ def main(root: Path) -> dict:
     return line
 
 
+def compare(parent: Path, change: Path) -> list[str]:
+    """Print each root's line, each from its own interpreter; return the names that differ."""
+    lines = []
+    for root in (parent, change):
+        line = subprocess.run([sys.executable, __file__, str(root)], check=True,
+                              capture_output=True, text=True).stdout.splitlines()[-1]
+        print(line, flush=True)
+        lines.append(json.loads(line))
+    return [name for name in {**lines[0], **lines[1]} if lines[0].get(name) != lines[1].get(name)]
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    roots = [Path(arg).resolve() for arg in sys.argv[1:]]
+    if len(roots) == 1:
+        print(json.dumps(main(roots[0])))
+    elif len(roots) == 2:
+        differ = compare(*roots)
+        if differ:
+            sys.exit(f"digests differ: {', '.join(differ)}")
+    else:
         sys.exit(__doc__)
-    print(json.dumps(main(Path(sys.argv[1]).resolve())))

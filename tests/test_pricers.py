@@ -147,6 +147,37 @@ def test_bare_recovery_outside_unit_interval_rejected(f1, pricer, recovery):
         pricer(f1.discount, f1.survival, f1.schedule, recovery)
 
 
+@pytest.mark.parametrize("value, kind", [(True, "bool"), (np.True_, "bool"), ("0.05", "str")],
+                         ids=["bool", "numpy_bool", "text"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("coupon", lambda m, x: price_riskfree_bond(m.discount, m.schedule, x)),
+        ("spread", lambda m, x: standard_asw_pv(*m.market, m.bond, x)),
+        ("spread", lambda m, x: cancelable_asw_pv(*m.market, m.bond, x)),
+        ("spread", lambda m, x: mtm_profile(m.discount, m.schedule, m.bond, x)),
+        ("spread", lambda m, x: early_termination_pv(*m.market, m.bond, x)),
+        ("repo_maturity", lambda m, x: forward_bond_price(*m.market, m.bond, x)),
+        ("repo_maturity",
+         lambda m, x: par_cancelable_asw_spread_generalized(*m.market, m.bond, x, 1.0)),
+        ("forward_price",
+         lambda m, x: par_cancelable_asw_spread_generalized(*m.market, m.bond, 3.0, x)),
+        ("cds_bid", lambda m, x: implied_repo_spreads(x, 0.02, 0.01, 0.02)),
+        ("cds_ask", lambda m, x: implied_repo_spreads(0.01, x, 0.01, 0.02)),
+        ("aswc_bid", lambda m, x: implied_repo_spreads(0.01, 0.02, x, 0.02)),
+        ("aswc_ask", lambda m, x: implied_repo_spreads(0.01, 0.02, 0.01, x)),
+    ],
+    ids=["riskfree_bond", "standard_asw_pv", "cancelable_asw_pv", "mtm_profile",
+         "early_termination_pv", "forward_bond_price", "generalized_maturity",
+         "generalized_forward", "cds_bid", "cds_ask", "aswc_bid", "aswc_ask"],
+)
+def test_bare_scalars_follow_the_real_rule(f1, name, call, value, kind):
+    # a bool once priced as 1 (a coupon of True: 5.6155) and text raised a bare TypeError
+    f1.market = f1.discount, f1.survival, f1.schedule
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {kind}$"):
+        call(f1, value)
+
+
 class TestAnnuities:
     def test_flat_world(self):
         schedule = build_schedule(0.0, 5.0, 1)

@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cdsreplica import (
     InconsistentSpecs,
     Leg,
     NonFiniteResult,
+    PricingError,
     RepoSpec,
     SurvivalCurve,
     annuity_defaultable,
@@ -500,24 +503,105 @@ class TestMcSplit:
 
     @pytest.mark.parametrize("raising", ["worker", "caller"])
     def test_a_raising_chunk_raises_in_the_caller(self, f1, monkeypatch, raising):
-        # the worker's exception reaches the caller, never threading.excepthook (which
-        # the suite's filterwarnings turns into a failure), and no thread outlives the call
-        caller = threading.current_thread()
+        # the worker's exception reaches the caller, never sys.unraisablehook (which
+        # the suite's filterwarnings turns into a failure), and the call returns only
+        # once both chunks have finished. Threads are told apart by get_ident: calling
+        # threading.current_thread() in the worker would register a dummy Thread
+        caller = threading.get_ident()
         error = MemoryError("chunk")
         real = replication._bucket_counts
+        finished = []
 
         def failing(cumulative, uniforms):
-            if (threading.current_thread() is caller) == (raising == "caller"):
-                raise error
-            return real(cumulative, uniforms)
+            try:
+                if (threading.get_ident() == caller) == (raising == "caller"):
+                    raise error
+                return real(cumulative, uniforms)
+            finally:
+                finished.append(threading.get_ident() == caller)
 
         monkeypatch.setattr(replication, "_bucket_counts", failing)
-        threads = threading.active_count()
         with pytest.raises(MemoryError) as raised:
             mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
                      True, 2000, seed=5)
         assert raised.value is error
-        assert threading.active_count() == threads
+        assert sorted(finished) == [False, True]
+
+
+class TestMcHandOff:
+    """The worker starts before the market is resolved and draws once the caller hands
+    it the bucket bounds; a market that fails to resolve is drawn by neither thread."""
+
+    def test_a_caller_slow_to_resolve_gives_the_single_stream(self, f1, monkeypatch):
+        repo = RepoSpec(spread=0.001)
+        report = replication_report(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False)
+        residuals = np.array([r.residual for r in report.scenarios])
+        cumulative = np.cumsum([r.probability for r in report.scenarios])
+        cumulative[-1] = 1.0
+        n_paths, seed = 10_001, 11
+        single = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
+        counts = np.bincount(np.searchsorted(cumulative, single, side="right"),
+                             minlength=len(residuals))
+        estimate = float(counts @ residuals / n_paths)
+        variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))
+        real = replication._table_and_residuals
+
+        def slow(*args):
+            time.sleep(0.02)  # the worker is up long before the market is resolved
+            return real(*args)
+
+        monkeypatch.setattr(replication, "_table_and_residuals", slow)
+        result = mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False,
+                          n_paths, seed)
+        assert result == (estimate, math.sqrt(variance) / math.sqrt(n_paths))
+
+    @pytest.mark.parametrize("failure", ["early_repo_without_clause", "non_finite"])
+    def test_a_market_that_fails_raises_its_error_and_draws_nothing(
+        self, f1, monkeypatch, failure
+    ):
+        drawn = []
+        monkeypatch.setattr(replication, "_bucket_counts", lambda *args: drawn.append(args))
+        repo = RepoSpec(spread=0.001)
+        if failure == "non_finite":
+            error = NonFiniteResult("residual")
+
+            def failing(*args):
+                raise error
+
+            monkeypatch.setattr(replication, "_table_and_residuals", failing)
+        else:  # the real clause-off early repo, which the table refuses
+            repo = RepoSpec(spread=0.001, maturity=3.0)
+        with pytest.raises(PricingError) as raised:
+            mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False, 2000, seed=5)
+        if failure == "non_finite":
+            assert raised.value is error
+        else:
+            assert type(raised.value) is InconsistentSpecs
+        assert drawn == []  # in neither thread: the caller waits for the worker to finish
+
+    def test_concurrent_calls_keep_their_bits(self, f1):
+        # more callers than cores, each with its own worker and locks, on markets that
+        # evict each other from the one-slot table memo, under a short switch interval
+        markets = [(f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread), clause)
+                   for spread in (0.001, 0.002) for clause in (True, False)]
+        expected = [mc_check(*market, 5000, 9) for market in markets]
+        results = {}
+
+        def run(k):
+            results[k] = [mc_check(*markets[k], 5000, 9) for _ in range(20)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(markets))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[k] for k in range(len(markets))] == [[e] * 20 for e in expected]
 
 
 class TestTableMemo:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from cdsreplica import (
     ConfigError,
+    DiscountCurve,
     InvalidFrequency,
     InvalidInterval,
     MaturityNotOnGrid,
     NonIntegralPeriods,
     Schedule,
+    SurvivalCurve,
     build_schedule,
     truncate_schedule,
 )
@@ -76,6 +78,36 @@ def test_one_real_rule(value, expected):
     # a type with __float__ that is not bool: numpy scalars pass but numpy's bool
     # does not, and text does not
     assert _is_real(value) is expected
+
+
+@pytest.mark.parametrize(
+    ("build", "match"),
+    [
+        (lambda: Schedule(0.0, ("1", "2")), "^schedule dates must be numbers, got str$"),
+        (lambda: Schedule(0.0, (1.0, True)), "^schedule dates must be numbers, got bool$"),
+        (lambda: Schedule(0.0, np.array([True, False])), "must be numbers, got bool"),
+        (lambda: Schedule("0", (1.0,)), "^schedule t0 must be a number, got str$"),
+        (lambda: DiscountCurve(("1",), ("0.02",)), "^node_times must be numbers, got str$"),
+        (lambda: DiscountCurve((1.0,), (np.True_,)), "^fwd_rates must be numbers, got bool"),
+        (lambda: DiscountCurve((1.0,), (0.02,), True), "^t0 must be a number, got bool$"),
+        (lambda: SurvivalCurve.flat("0.02"), "^hazards must be numbers, got str$"),
+        (lambda: SurvivalCurve((1.0, "2"), (0.02, 0.03)), "^node_times must be numbers"),
+    ],
+    ids=["schedule_text", "schedule_bool", "schedule_numpy_bool", "schedule_t0",
+         "discount_text", "discount_numpy_bool", "discount_t0", "survival_flat_text",
+         "survival_mixed"],
+)
+def test_curves_and_schedule_follow_the_real_rule(build, match):
+    # float() once took "1" for 1.0 and True for 1.0; each distinct type is checked once
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_curves_and_schedule_keep_numpy_numbers_as_floats():
+    schedule = Schedule(np.float32(0.0), np.array([1, 2], dtype=np.int64))
+    curve = DiscountCurve(np.array([1.0, 2.0]), (np.float32(0.25), 0.02))
+    assert schedule.dates == (1.0, 2.0) and type(schedule.dates[0]) is float
+    assert curve.fwd_rates == (0.25, 0.02) and type(curve.node_times[0]) is float
 
 
 def test_maturity_before_anchor_rejected():
