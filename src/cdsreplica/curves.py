@@ -117,9 +117,9 @@ def _memo(curve, schedule: Schedule, evaluate):
     memo holds it, so its identity cannot be reused, and values are never
     compared. An evaluation that raises stores nothing. The memo is a plain
     attribute set past the frozen dataclass, so it stays out of ==, hash, repr,
-    fields, asdict and replace, and dies with the curve. Its one store of an
-    immutable tuple keeps the curve safe to share across threads: a race only
-    evaluates twice.
+    fields, asdict and replace, and dies with the curve. Its one store of a
+    tuple (and _Grid.kept's, for a grid's sums) keeps the curve safe to share
+    across threads: a race only evaluates twice.
     """
     last = getattr(curve, "_last", None)
     if last is not None and last[0] is schedule:
@@ -133,7 +133,7 @@ def _memo(curve, schedule: Schedule, evaluate):
 class DiscountCurve:
     """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate).
 
-    t0, the node times and the rates must be numbers (_is_real), else ValueError.
+    t0, node times, rates and every time queried must be numbers (_is_real), else ValueError.
     """
 
     node_times: tuple[float, ...]
@@ -148,22 +148,22 @@ class DiscountCurve:
 
     @classmethod
     def flat(cls, rate: float, t0: float = 0.0) -> "DiscountCurve":
-        return cls(node_times=(t0 + 1.0,), fwd_rates=(rate,), t0=t0)
+        return cls(node_times=(_real("t0", t0) + 1.0,), fwd_rates=(rate,), t0=t0)
 
     def _at(self, times: Sequence[float]) -> list[float]:
         """P at each of the ascending times."""
         return _exp_integrals("discount", self.t0, self.node_times, self.fwd_rates, times)
 
-    def _on(self, schedule: Schedule) -> _Pair:
-        """(P, eps) on the schedule (see _Grid), P checked positive; evaluated once per schedule."""
+    def _on(self, schedule: Schedule) -> _Grid:
+        """The riskless grid on the schedule, P checked positive; evaluated once per schedule."""
         return _memo(self, schedule, _discount_on)
 
     def discount_factor(self, t: float) -> float:
-        return self._at((t,))[0]
+        return self._at((_real("t", t),))[0]
 
     def forward_rate(self, t_start: float, t_end: float) -> float:
         """Simple-compounded forward rate over (t_start, t_end]: the model's floating fixing."""
-        if not t_start < t_end:  # also rejects NaN
+        if not _real("t_start", t_start) < _real("t_end", t_end):  # also rejects NaN
             raise InvalidInterval(f"need t_start < t_end, got ({t_start}, {t_end})")
         p_start, p_end = self._at((t_start, t_end))
         return (p_start / p_end - 1.0) / (t_end - t_start)
@@ -173,7 +173,7 @@ class DiscountCurve:
 class SurvivalCurve:
     """Issuer survival curve Q(t0, t) = exp(-integral of the hazard rate).
 
-    t0, the node times and the hazards must be numbers (_is_real), else ValueError.
+    t0, node times, hazards and every time queried must be numbers (_is_real), else ValueError.
     """
 
     node_times: tuple[float, ...]
@@ -190,7 +190,7 @@ class SurvivalCurve:
 
     @classmethod
     def flat(cls, hazard: float, t0: float = 0.0) -> "SurvivalCurve":
-        return cls(node_times=(t0 + 1.0,), hazards=(hazard,), t0=t0)
+        return cls(node_times=(_real("t0", t0) + 1.0,), hazards=(hazard,), t0=t0)
 
     def _at(self, times: Sequence[float]) -> list[float]:
         """Q at each of the ascending times."""
@@ -201,7 +201,7 @@ class SurvivalCurve:
         return _memo(self, schedule, _survival_on)
 
     def survival_prob(self, t: float) -> float:
-        return self._at((t,))[0]
+        return self._at((_real("t", t),))[0]
 
 
 class _Grid(NamedTuple):
@@ -209,7 +209,8 @@ class _Grid(NamedTuple):
 
     p and q hold P and Q at [t0, t_1, ..., t_N]; theta, eps and dq hold periods 1..N: the
     accrual, the fixing (eps_k theta_k = P_{k-1} / P_k - 1) and the default law Q_{k-1} - Q_k.
-    A grid from _grid shares the curves' memoized tuples.
+    A grid from _grid shares the curves' memoized tuples, and sums keeps what is derived
+    from it (kept).
     """
 
     theta: tuple[float, ...]
@@ -217,16 +218,34 @@ class _Grid(NamedTuple):
     q: Sequence[float]
     eps: Sequence[float]
     dq: Sequence[float]
+    sums: dict
 
     def window(self, start: int, stop: int) -> "_Grid":
-        """The grid of periods start+1..stop, anchored at t_start."""
+        """The grid of periods start+1..stop, anchored at t_start: the grid itself for 0..N."""
+        if start == 0 and stop == len(self.theta):
+            return self
         return _Grid(
             self.theta[start:stop], self.p[start : stop + 1], self.q[start : stop + 1],
-            self.eps[start:stop], self.dq[start:stop],
+            self.eps[start:stop], self.dq[start:stop], {},
         )
 
+    def kept(self, derive, key=None):
+        """derive(self, key), computed on first use and read from sums after that: one
+        (key, value) entry per derive, which another key (_same) replaces, so sums stays
+        bounded. An entry is stored whole, so threads sharing the grid only derive twice."""
+        entry = self.sums.get(derive)
+        if entry is None or not _same(entry[0], key):
+            entry = self.sums[derive] = key, derive(self, key)
+        return entry[1]
 
-_Pair = tuple[tuple[float, ...], tuple[float, ...]]  # (P, eps) or (Q, dq) on one schedule
+
+def _same(stored, given) -> bool:
+    """given is the stored key, or one of its type with the same repr: equal field for
+    field in type and bits, which == is not (0.0 == -0.0, 1 == 1.0, float32(0.5) == 0.5)."""
+    return stored is given or (type(stored) is type(given) and repr(stored) == repr(given))
+
+
+_Pair = tuple[tuple[float, ...], tuple[float, ...]]  # (Q, dq) on one schedule
 
 
 def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedule) -> list[float]:
@@ -238,12 +257,12 @@ def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedu
     return curve._at([schedule.t0, *schedule.dates])
 
 
-def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Pair:
+def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Grid:
     p = tuple(_values_on(discount, "discount", schedule))
     if not all(df > 0.0 for df in p):
         raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
     eps = tuple([(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], schedule.accruals)])
-    return p, eps
+    return _riskless(_Grid(schedule.accruals, p, (), eps, (), {}))  # theta, P and eps
 
 
 def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> _Pair:
@@ -251,19 +270,26 @@ def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> _Pair:
     return q, tuple([q0 - q1 for q0, q1 in zip(q, q[1:])])
 
 
-def _riskless(theta: tuple[float, ...], p: Sequence[float], eps: Sequence[float]) -> _Grid:
-    """The grid of an issuer that cannot default: Q = 1 and dq = 0."""
-    return _Grid(theta, p, (1.0,) * len(p), eps, (0.0,) * len(eps))
+def _riskless(g: _Grid, _=None) -> _Grid:
+    """g's periods for an issuer that cannot default: Q = 1 and dq = 0."""
+    return _Grid(g.theta, g.p, (1.0,) * len(g.p), g.eps, (0.0,) * len(g.eps), {})
 
 
 def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
     """theta, P, Q, eps and dq of the market, each curve evaluated once per schedule
-    (_memo); no survival curve means the riskless grid."""
-    p, eps = discount._on(schedule)
+    (_memo); no survival curve means the riskless grid, which the discount curve's memo
+    holds. The risky grid is kept on the survival curve and returned again while its P
+    and Q are the memos' very tuples, so the sums it keeps (_Grid.kept) are derived once
+    per market; it keeps the riskless grid as its twin (_riskless)."""
+    riskless = discount._on(schedule)
     if survival is None:
-        return _riskless(schedule.accruals, p, eps)
+        return riskless
     q, dq = survival._on(schedule)
-    return _Grid(schedule.accruals, p, q, eps, dq)
+    g = getattr(survival, "_last_grid", None)
+    if g is None or g.p is not riskless.p or g.q is not q:
+        g = _Grid(schedule.accruals, riskless.p, q, riskless.eps, dq, {_riskless: (None, riskless)})
+        object.__setattr__(survival, "_last_grid", g)
+    return g
 
 
 @dataclass(frozen=True)
@@ -297,7 +323,7 @@ def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDis
 
 def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float, ...]:
     """Floating fixing of each period: set at t_{k-1}, paid at t_k."""
-    return discount._on(schedule)[1]
+    return discount._on(schedule).eps
 
 
 class _Fit(NamedTuple):

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, _riskless, fsum
 from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
@@ -154,37 +153,44 @@ def _par(numerator: float, annuity: float) -> SpreadResult:
     return SpreadResult(spread=spread, numerator=numerator, annuity=annuity)
 
 
-def _annuity(g: _Grid) -> float:
+def _annuity(g: _Grid, _=None) -> float:
     return fsum([theta * p * q for theta, p, q in zip(g.theta, g.p[1:], g.q[1:])])
 
 
-def _default_leg(g: _Grid) -> float:
+def _default_leg(g: _Grid, _=None) -> float:
     return fsum(map(mul, g.p, g.dq))
 
 
-def _note(g: _Grid, rates: Iterable[float], recovery: float) -> float:
-    """Coupons at `rates` and the principal while the issuer survives, recovery on default."""
-    coupons = fsum([r * theta * p * q for r, theta, p, q in zip(rates, g.theta, g.p[1:], g.q[1:])])
-    return coupons + g.p[-1] * g.q[-1] + recovery * _default_leg(g)
+def _floater_coupons(g: _Grid, _=None) -> float:
+    return fsum([e * theta * p * q for e, theta, p, q in zip(g.eps, g.theta, g.p[1:], g.q[1:])])
+
+
+def _bond_coupons(g: _Grid, coupon: float) -> float:
+    return fsum([coupon * theta * p * q for theta, p, q in zip(g.theta, g.p[1:], g.q[1:])])
+
+
+def _note(g: _Grid, coupons: float, recovery: float) -> float:
+    """Coupons worth `coupons` and the principal while the issuer survives, recovery on default."""
+    return coupons + g.p[-1] * g.q[-1] + recovery * g.kept(_default_leg)
 
 
 def _risky_bond(g: _Grid, bond: BondSpec) -> float:
-    return _note(g, repeat(bond.coupon), bond.recovery)
+    return _note(g, g.kept(_bond_coupons, bond.coupon), bond.recovery)
 
 
 def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
-    return _par((1.0 - recovery) * _default_leg(g), _annuity(g))
+    return _par((1.0 - recovery) * g.kept(_default_leg), g.kept(_annuity))
 
 
 def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:
-    riskless = _riskless(g.theta, g.p, g.eps)
-    return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), _annuity(riskless))
+    riskless = g.kept(_riskless)
+    return _par(_risky_bond(riskless, bond) - _risky_bond(g, bond), riskless.kept(_annuity))
 
 
 def _par_cancelable(g: _Grid, bond: BondSpec, periods: int, forward_price: float) -> SpreadResult:
     """(X - floater) over the defaultable annuity, both on the first `periods` periods."""
     g = g.window(0, periods)
-    return _par(forward_price - _note(g, g.eps, bond.recovery), _annuity(g))
+    return _par(forward_price - _note(g, g.kept(_floater_coupons), bond.recovery), g.kept(_annuity))
 
 
 def _swap_payments(g: _Grid, coupon: float, spread: float) -> list[float]:
@@ -249,7 +255,8 @@ def _repo_on_grid(
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Sum of c * theta_k * P(t_k) plus P(t_N)."""
     _real("coupon", coupon)
-    price = _note(_grid(discount, None, schedule), repeat(coupon), 0.0)
+    g = _grid(discount, None, schedule)
+    price = _note(g, g.kept(_bond_coupons, coupon), 0.0)
     return _finite("risk-free bond price", price)
 
 
@@ -259,7 +266,7 @@ def default_leg_pv(discount: DiscountCurve, survival: SurvivalCurve, schedule: S
     The settlement is grossed up by the period accrual (1 + eps * theta), so
     each bucket contributes P(t_{k-1}) * (Q(t_{k-1}) - Q(t_k)).
     """
-    return _finite("default leg PV", _default_leg(_grid(discount, survival, schedule)))
+    return _finite("default leg PV", _grid(discount, survival, schedule).kept(_default_leg))
 
 
 def price_risky_bond(
@@ -280,19 +287,20 @@ def price_risky_floater(
 ) -> float:
     """Floating-rate note of the same issuer: fixings + principal, recovery on default."""
     g = _grid(discount, survival, schedule)
-    return _finite("risky floater price", _note(g, g.eps, _recovery(recovery)))
+    floater = _note(g, g.kept(_floater_coupons), _recovery(recovery))
+    return _finite("risky floater price", floater)
 
 
 def annuity_riskfree(discount: DiscountCurve, schedule: Schedule) -> float:
     """PV of a unit spread paid on every date: sum of theta_k * P(t_k)."""
-    return _finite("risk-free annuity", _annuity(_grid(discount, None, schedule)))
+    return _finite("risk-free annuity", _grid(discount, None, schedule).kept(_annuity))
 
 
 def annuity_defaultable(
     discount: DiscountCurve, survival: SurvivalCurve, schedule: Schedule
 ) -> float:
     """PV of a unit spread paid while the issuer survives: sum of theta_k * P_k * Q_k."""
-    return _finite("defaultable annuity", _annuity(_grid(discount, survival, schedule)))
+    return _finite("defaultable annuity", _grid(discount, survival, schedule).kept(_annuity))
 
 
 def par_cds_spread(

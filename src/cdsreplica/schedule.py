@@ -152,6 +152,6 @@ def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
 
 
 def truncate_schedule(schedule: Schedule, maturity: float) -> Schedule:
-    """Prefix of the schedule ending at `maturity`, which must lie on the grid."""
-    idx = schedule.index_at(maturity)
+    """Prefix of the schedule ending at `maturity`, a number (_is_real) on the grid."""
+    idx = schedule.index_at(_real("maturity", maturity))
     return Schedule(t0=schedule.t0, dates=schedule.dates[: idx + 1])

@@ -15,20 +15,28 @@ The script prints one JSON line:
   the seed-1 `book-long` markets and the first 40 `book-short` markets, clause
   on, and clause off where the repo runs to maturity: path counts on both
   sides of a multiple of 4, and the lowest and highest Philox keys;
-- the digest of `sorted(cdsreplica.__all__)`, the package's public names.
+- the digest of `sorted(cdsreplica.__all__)`, the package's public names;
+- the digest of the seed-1 book ops run again in memo order (`memo_order`): their
+  stages interleaved across markets in a shuffled order, so that every memo both hits
+  and misses. It must equal the digest of the same ops run one by one, each followed
+  by its evicting call on a market of its own, else the script prints its line and
+  exits 1.
 The same line for two checkouts means the same outputs and the same public names.
 Given two roots, the script digests each in its own interpreter, prints both lines
-(PARENT's first), and exits 1 naming every digest that differs.
+(PARENT's first), and exits 1 naming every digest that differs, or the root whose
+memo-order digest differs from its in-order one.
 
-It only reads `bench/` (the pools, the ops, `_build_market`, `_repo`, `digest`,
-`cli_items`, `write_configs` and `run_cli_in_process`); the configs go to a temporary
-directory, whose path is masked in the outputs. A benchmark change that renames
-any of those helpers must update this script.
+It only reads `bench/` (the pools, the ops and their stages `price_request`, `_report`
+and `_mc_check`, `_build_market`, `_repo`, `digest`, `cli_items`, `write_configs` and
+`run_cli_in_process`); the configs go to a temporary directory, whose path is masked
+in the outputs. A benchmark change that renames any of those helpers must update this
+script.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -40,6 +48,53 @@ CLI_SEEDS = range(1, 7)
 CLI_FLAGS = ((), ("--pretty",), ("--pretty", "--bp"))
 MC_PATHS = (1000, 1001, 1003, 99_999)
 MC_SEEDS = (0, 2**128 - 1)
+MEMO_ORDER_SEED = 24  # the shuffle of memo_order
+
+
+def evict(spec, market):
+    """The market's curves priced on the one-period schedule to its maturity: a call
+    that replaces both curve memos and the survival curve's grid."""
+    import cdsreplica
+
+    one_period = cdsreplica.Schedule(0.0, (spec.maturity,))
+    return cdsreplica.par_cds_spread(market[0], market[1], one_period, spec.recovery)
+
+
+def memo_order(ops: list) -> list[dict]:
+    """The outputs of ops, (op, spec) pairs of the book workloads, with every stage of
+    every op run in one shuffled order.
+
+    An op's price request comes first and builds its market; its reports, its
+    mc_check and its `evict` call follow in a shuffled order, interleaved with the
+    other ops' stages. Each output is assembled in the op's own key order, with the
+    evicting call's result last.
+    """
+    from tracing import NullTracer
+    from workloads import _mc_check, _report, book_long_op, price_request
+
+    t, rng = NullTracer(), random.Random(MEMO_ORDER_SEED)
+    stages, markets, outputs = [], [], []
+    for op, spec in ops:
+        later = ["on", "evict", *(["mc"] if op is book_long_op else []),
+                 *(["off"] if op is not book_long_op and spec.repo_maturity is None else [])]
+        rng.shuffle(later)
+        stages.append(["prices", *later])
+        markets.append(None)
+        outputs.append({})
+    pending = [i for i, op_stages in enumerate(stages) for _ in op_stages]
+    rng.shuffle(pending)  # the k-th turn of op i runs its k-th stage
+    for i in pending:
+        spec, stage, market = ops[i][1], stages[i].pop(0), markets[i]
+        if stage == "prices":
+            markets[i], outputs[i]["prices"] = price_request(spec, t)
+        elif stage == "evict":
+            outputs[i]["evict"] = evict(spec, market)
+        elif stage == "mc":
+            outputs[i]["mc"] = _mc_check(spec, market, t)
+        else:
+            outputs[i][stage] = _report(spec, market, stage == "on", t)
+    order = ("prices", "on", "off", "mc", "evict")
+    return [{key: out[key] for key in order if key in out} for out in outputs]
 
 
 def main(root: Path) -> dict:
@@ -51,11 +106,12 @@ def main(root: Path) -> dict:
         run_cli_in_process, short_markets, write_configs,
     )
 
-    line = {}
+    line, in_order = {}, []
     for name, markets, op in (("book-short", short_markets, book_short_op),
                               ("book-long", long_markets, book_long_op)):
         digests = [digest(op(spec, NullTracer())) for seed in BOOK_SEEDS for spec in markets(seed)]
         line[name] = {"ops": len(digests), "digest": digest(digests)}
+        in_order += [(op, spec) for spec in markets(1)]
     outputs = []
     with tempfile.TemporaryDirectory() as directory:
         for seed in CLI_SEEDS:
@@ -77,24 +133,38 @@ def main(root: Path) -> dict:
     line["mc-check"] = {"checks": len(checks), "digest": digest(checks)}
     names = sorted(cdsreplica.__all__)
     line["public-names"] = {"names": len(names), "digest": digest(names)}
+    expected = digest([digest({**op(spec, NullTracer()),
+                               "evict": evict(spec, _build_market(spec, NullTracer()))})
+                       for op, spec in in_order])
+    shuffled = digest([digest(out) for out in memo_order(in_order)])
+    line["memo-order"] = {"ops": len(in_order), "digest": shuffled,
+                          "same-as-in-order": shuffled == expected}
     return line
 
 
 def compare(parent: Path, change: Path) -> list[str]:
     """Print each root's line, each from its own interpreter; return the names that differ."""
-    lines = []
+    lines, failed = [], []
     for root in (parent, change):
-        line = subprocess.run([sys.executable, __file__, str(root)], check=True,
-                              capture_output=True, text=True).stdout.splitlines()[-1]
+        run = subprocess.run([sys.executable, __file__, str(root)], capture_output=True, text=True)
+        if not run.stdout:
+            sys.exit(run.stderr)
+        line = run.stdout.splitlines()[-1]
         print(line, flush=True)
         lines.append(json.loads(line))
-    return [name for name in {**lines[0], **lines[1]} if lines[0].get(name) != lines[1].get(name)]
+        if run.returncode:
+            failed.append(f"memo-order of {root}")
+    differ = [name for name in {**lines[0], **lines[1]} if lines[0].get(name) != lines[1].get(name)]
+    return differ + failed
 
 
 if __name__ == "__main__":
     roots = [Path(arg).resolve() for arg in sys.argv[1:]]
     if len(roots) == 1:
-        print(json.dumps(main(roots[0])))
+        line = main(roots[0])
+        print(json.dumps(line))
+        if not line["memo-order"]["same-as-in-order"]:
+            sys.exit("the memo-order digest differs from the in-order one")
     elif len(roots) == 2:
         differ = compare(*roots)
         if differ:

@@ -1,6 +1,11 @@
+import collections
 import dataclasses
 import math
 import random
+import sys
+import threading
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +48,7 @@ from cdsreplica import (
     replication_report,
     standard_asw_pv,
 )
-from cdsreplica import curves
+from cdsreplica import curves, pricers, replication
 from cdsreplica.curves import _calibrate_flat_hazard
 from curve_oracle import exp_integrals
 from markets import random_discount, random_survival
@@ -550,3 +555,160 @@ def test_a_failed_evaluation_stores_nothing():
     for _ in range(2):
         with pytest.raises(DegenerateAnnuity, match="not positive"):
             curves._grid(discount, SurvivalCurve.flat(0.0), schedule)
+
+
+class TestGridMemo:
+    """Each market keeps one grid per curve memo, and each grid keeps the sums derived from it."""
+
+    @staticmethod
+    def count_sums(monkeypatch):
+        """Patch every sum a grid keeps (_Grid.kept) to count its computations by name."""
+        counts = collections.Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def derive(g, key=None):
+                counts[name] += 1
+                return real(g, key)
+
+            return derive
+
+        for module, name in ((pricers, "_annuity"), (pricers, "_default_leg"),
+                             (pricers, "_floater_coupons"), (pricers, "_bond_coupons"),
+                             (replication, "_grid_buckets")):
+            monkeypatch.setattr(module, name, counted(module, name))
+        riskless = counted(curves, "_riskless")  # the discount memo's grid and its twin
+        monkeypatch.setattr(curves, "_riskless", riskless)
+        monkeypatch.setattr(pricers, "_riskless", riskless)
+        return counts
+
+    @staticmethod
+    def market():
+        d = DiscountCurve(ORACLE_NODES, ORACLE_RATES)
+        s = SurvivalCurve((1.3, 4.7, 9.0), (0.011, 0.024, 0.03))
+        return d, s, build_schedule(0.0, 30.0, 4), BondSpec(0.05, 0.4)
+
+    def test_one_market_computes_each_distinct_sum_once(self, monkeypatch):
+        counts = self.count_sums(monkeypatch)
+        d, s, g, bond = self.market()
+        # the benchmark's book-long op at N = 120: a price request, a clause-on report
+        # and mc_check
+        s_asw = par_asw_spread(d, s, g, bond).spread
+        price_riskfree_bond(d, g, bond.coupon)
+        price_risky_bond(d, s, g, bond)
+        price_risky_floater(d, s, g, bond.recovery)
+        annuity_riskfree(d, g)
+        annuity_defaultable(d, s, g)
+        par_cds_spread(d, s, g, bond.recovery)
+        par_cancelable_asw_spread(d, s, g, bond)
+        early_termination_pv(d, s, g, bond, s_asw)
+        replication_report(d, s, g, bond, RepoSpec(0.001), True)
+        mc_check(d, s, g, bond, RepoSpec(0.001), True, 1000, 0)
+        # the risky and the riskless annuity, default leg and bond coupons, the floater's
+        # coupons and the validated buckets, each once
+        expected = {"_riskless": 1, "_annuity": 2, "_default_leg": 2, "_bond_coupons": 2,
+                    "_floater_coupons": 1, "_grid_buckets": 1}
+        assert counts == expected
+        # the rest of the library, and the clause-off report, add none
+        default_leg_pv(d, s, g)
+        standard_asw_pv(d, s, g, bond, s_asw)
+        cancelable_asw_pv(d, s, g, bond, s_asw)
+        price_sheet(d, s, g, bond, RepoSpec(0.001))
+        replication_report(d, s, g, bond, RepoSpec(0.001), False)
+        assert counts == expected
+        grid = curves._grid(d, s, g)
+        assert grid is curves._grid(d, s, g)
+        assert grid.sums[curves._riskless][1] is curves._grid(d, None, g)
+
+    def test_equal_but_distinct_curves_or_schedules_miss(self, monkeypatch):
+        counts = self.count_sums(monkeypatch)
+        d1, d2 = DiscountCurve.flat(0.02), DiscountCurve.flat(0.02)
+        s1, s2 = SurvivalCurve.flat(0.03), SurvivalCurve.flat(0.03)
+        g1, g2 = build_schedule(0.0, 5.0, 1), build_schedule(0.0, 5.0, 1)
+        markets = (d1, s1, g1), (d2, s1, g1), (d1, s2, g1), (d1, s1, g2)
+        grids, spreads = [], []
+        for market in markets:
+            grids.append(curves._grid(*market))
+            spreads.append(par_cds_spread(*market, 0.4))
+        assert counts["_annuity"] == counts["_default_leg"] == 4
+        assert len(set(map(id, grids))) == 4 and len(set(spreads)) == 1
+        assert curves._grid(d1, s1, g2) is grids[-1]  # the last market each curve saw
+        par_cds_spread(d1, s1, g2, 0.4)
+        assert counts["_annuity"] == counts["_default_leg"] == 4
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(0.0, -0.0), (2.0**-10, np.float32(2.0**-10)), (1.0, 1)],
+        ids=["negative_zero", "float32", "int_for_float"],
+    )
+    def test_coupons_equal_in_value_but_not_in_type_or_sign_miss(
+        self, monkeypatch, first, second
+    ):
+        counts = self.count_sums(monkeypatch)
+        d, s, g, _ = self.market()
+        price_risky_bond(d, s, g, BondSpec(first, 0.4))
+        price = price_risky_bond(d, s, g, BondSpec(second, 0.4))
+        assert counts["_bond_coupons"] == 2
+        fresh_d, fresh_s, _, _ = self.market()
+        assert repr(price) == repr(price_risky_bond(fresh_d, fresh_s, g, BondSpec(second, 0.4)))
+        price_risky_bond(d, s, g, BondSpec(second, 0.4))  # an equal, fresh spec hits
+        assert counts["_bond_coupons"] == 3
+
+    def test_the_whole_window_is_the_grid(self):
+        d, s, g, _ = self.market()
+        grid = curves._grid(d, s, g)
+        n = g.n_periods
+        assert grid.window(0, n) is grid
+        head = grid.window(0, n - 1)
+        assert head is not grid and head.sums == {} and head.theta == grid.theta[:-1]
+
+    def test_one_entry_per_kind_after_100_bonds(self):
+        d, s, g, _ = self.market()
+        for k in range(100):
+            bond = BondSpec(0.001 * k, 0.4)
+            par_asw_spread(d, s, g, bond)
+            replication_report(d, s, g, bond, RepoSpec(0.001), True)
+        grid, riskless = curves._grid(d, s, g), curves._grid(d, None, g)
+        assert set(grid.sums) == {curves._riskless, pricers._annuity, pricers._default_leg,
+                                  pricers._floater_coupons, pricers._bond_coupons,
+                                  replication._grid_buckets}
+        assert set(riskless.sums) == {pricers._annuity, pricers._default_leg,
+                                      pricers._bond_coupons}
+        assert grid.sums[pricers._bond_coupons][0] == riskless.sums[pricers._bond_coupons][0]
+        assert grid.sums[pricers._bond_coupons][0] == 0.001 * 99  # the last bond priced
+
+    def test_threads_pricing_markets_that_evict_each_other_keep_their_bits(self):
+        # four threads share two curves on two schedules and price a bond each, so the
+        # curve memos, the grids and the coupon entries are evicted under them
+        schedules = build_schedule(0.0, 5.0, 1), build_schedule(0.0, 10.0, 4)
+        bonds = [BondSpec(0.01 * (k + 1), 0.4) for k in range(4)]
+
+        def prices(d, s, bond):
+            return [repr((price_risky_bond(d, s, g, bond), par_asw_spread(d, s, g, bond),
+                          price_sheet(d, s, g, bond, RepoSpec(0.001)),
+                          replication_report(d, s, g, bond, RepoSpec(0.001), True)))
+                    for g in schedules]
+
+        def curves_():
+            return DiscountCurve(ORACLE_NODES, ORACLE_RATES), SurvivalCurve.flat(0.03)
+
+        expected = [prices(*curves_(), bond) for bond in bonds]  # each on fresh curves
+        d, s = curves_()
+        results = {}
+
+        def run(k):
+            results[k] = [prices(d, s, bonds[k]) for _ in range(20)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[k] for k in range(4)] == [[e] * 20 for e in expected]

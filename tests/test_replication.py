@@ -479,13 +479,15 @@ class TestMcSplit:
         single = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
         expected = np.bincount(np.searchsorted(cumulative, single, side="right"),
                                minlength=len(residuals))
-        caller, chunks = threading.current_thread(), {}
+        # threads are told apart by get_ident: threading.current_thread() in the
+        # worker would register a dummy Thread that is never removed
+        caller, chunks = threading.get_ident(), {}
         real = replication._bucket_counts
 
         def recorded(cumulative, uniforms):
             drawn = uniforms.copy()  # before _bucket_counts sorts them
             counts = real(cumulative, uniforms)
-            chunks[threading.current_thread() is caller] = drawn, counts.copy()
+            chunks[threading.get_ident() == caller] = drawn, counts.copy()
             return counts
 
         monkeypatch.setattr(replication, "_bucket_counts", recorded)

@@ -103,6 +103,35 @@ def test_curves_and_schedule_follow_the_real_rule(build, match):
         build()
 
 
+_ANNUAL = build_schedule(0.0, 5.0, 1)
+
+
+@pytest.mark.parametrize(
+    ("query", "match"),
+    [
+        (lambda: SurvivalCurve.flat(0.02).survival_prob(True), "^t must be a number, got bool$"),
+        (lambda: SurvivalCurve.flat(0.02).survival_prob("1"), "^t must be a number, got str$"),
+        (lambda: DiscountCurve.flat(0.02).discount_factor("1"), "^t must be a number, got str$"),
+        (lambda: DiscountCurve.flat(0.02).discount_factor(np.True_), "^t must be a number, got"),
+        (lambda: DiscountCurve.flat(0.02).forward_rate("0", 1.0),
+         "^t_start must be a number, got str$"),
+        (lambda: DiscountCurve.flat(0.02).forward_rate(0.0, True),
+         "^t_end must be a number, got bool$"),
+        (lambda: truncate_schedule(_ANNUAL, True), "^maturity must be a number, got bool$"),
+        (lambda: truncate_schedule(_ANNUAL, "3"), "^maturity must be a number, got str$"),
+        (lambda: DiscountCurve.flat(0.02, t0="0"), "^t0 must be a number, got str$"),
+        (lambda: SurvivalCurve.flat(0.02, t0=True), "^t0 must be a number, got bool$"),
+    ],
+    ids=["survival_bool", "survival_text", "discount_text", "discount_numpy_bool",
+         "forward_start_text", "forward_end_bool", "truncate_bool", "truncate_text",
+         "discount_flat_t0", "survival_flat_t0"],
+)
+def test_curve_queries_and_truncation_follow_the_real_rule(query, match):
+    # a bool was taken for 1.0 (Q(1), a one-period schedule) and text raised a bare TypeError
+    with pytest.raises(ValueError, match=match):
+        query()
+
+
 def test_curves_and_schedule_keep_numpy_numbers_as_floats():
     schedule = Schedule(np.float32(0.0), np.array([1, 2], dtype=np.int64))
     curve = DiscountCurve(np.array([1.0, 2.0]), (np.float32(0.25), 0.02))
