@@ -20,8 +20,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from .curves import DiscountCurve, SurvivalCurve, _calibrate_flat_hazard, calibrate_flat_hazard
 from .errors import ConfigError, PricingError
 
-# The per-number pricers after price_sheet are not called here; they stay importable
-# from this module because bench/workloads.py wraps them by name (CLI_CALLS).
+# The per-number pricers after price_sheet are not called here. They stay attributes of
+# this module, as do mc_check and replication_report (through __getattr__ below), because
+# bench/workloads.py wraps them by name (CLI_CALLS).
 from .pricers import (  # noqa: F401
     BondSpec,
     RepoSpec,
@@ -39,10 +40,22 @@ from .pricers import (  # noqa: F401
     price_risky_bond,
     price_risky_floater,
 )
-from .replication import mc_check, replication_report
 from .schedule import VALID_FREQUENCIES, Schedule, _is_integer, build_schedule
 
 REPLICATION_TOL = 1e-10
+
+
+def __getattr__(name: str):
+    """mc_check and replication_report, bound here on first use: only `replicate`
+    loads the replication module."""
+    if name not in ("mc_check", "replication_report"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement, so that -X importtime lists replication under replicate
+    from .replication import mc_check, replication_report
+
+    value = mc_check if name == "mc_check" else replication_report
+    globals()[name] = value  # only name: the other may hold a wrapper already
+    return value
 
 
 def _require_number(value, path: str) -> float:
@@ -112,6 +125,8 @@ def _field(parse, **default):
 
 @dataclass(frozen=True)
 class BondConfig(BondSpec):
+    """The `bond` section: a BondSpec plus the maturity and frequency of its grid."""
+
     coupon: float = _field(_require_number)
     recovery: float = _field(_number_where(lambda r: 0.0 <= r < 1.0, "must lie in [0, 1)"))
     maturity: float = _field(_positive)
@@ -120,6 +135,8 @@ class BondConfig(BondSpec):
 
 @dataclass(frozen=True)
 class RepoConfig(RepoSpec):
+    """The `repo` section: a RepoSpec read from JSON, the forward price "fair" as None."""
+
     spread: float = _field(_require_number, default=0.0)
     maturity: float | None = _field(_positive, default=None)
     forward_price: float | None = _field(_forward_price, default=None)  # None means "fair"
@@ -127,6 +144,8 @@ class RepoConfig(RepoSpec):
 
 @dataclass(frozen=True)
 class QuotesConfig:
+    """The `quotes` section: CDS and cancelable-ASW bid and ask, for implied-repo."""
+
     cds_bid: float = _field(_require_number)
     cds_ask: float = _field(_require_number)
     aswc_bid: float = _field(_require_number)
@@ -135,6 +154,8 @@ class QuotesConfig:
 
 @dataclass(frozen=True)
 class MarketConfig:
+    """A validated market config: curves (or a CDS quote), bond, repo and quotes."""
+
     discount_nodes: tuple[tuple[float, float], ...] = _field(_nodes(_require_number))
     bond: BondConfig = _field(_section(BondConfig))
     hazard_nodes: tuple[tuple[float, float], ...] | None = _field(
@@ -211,12 +232,20 @@ def cmd_price(config: MarketConfig) -> dict:
 def cmd_replicate(
     config: MarketConfig, clause_enabled: bool, mc_paths: int | None, seed: int
 ) -> tuple[dict, int]:
-    """Scenario residual table; exit 0 iff the clause is on and residuals are tiny."""
+    """Scenario residual table; exit 0 iff the clause is on and residuals are tiny.
+
+    replication_report and mc_check are read as attributes of this module, so
+    that one set on it (a wrapper, a monkeypatch) is called even before the
+    replication module loads.
+    """
+    this = sys.modules[__name__]
     discount, survival, schedule, bond = _build_market(config)
-    report = replication_report(discount, survival, schedule, bond, config.repo, clause_enabled)
+    report = this.replication_report(
+        discount, survival, schedule, bond, config.repo, clause_enabled
+    )
     payload = report.to_dict()
     if mc_paths is not None:
-        mc = mc_check(
+        mc = this.mc_check(
             discount, survival, schedule, bond, config.repo, clause_enabled, mc_paths, seed
         )
         payload["mc_estimate"] = mc.estimate

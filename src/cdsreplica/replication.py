@@ -261,6 +261,8 @@ class _CashflowTable(NamedTuple):
         opening and the periods survived, so that prefix is carried forward as
         its _exact_parts: each residual is one fsum over O(1) values, equal bit
         for bit to the fsum over its whole slice, because fsum is correctly rounded.
+        The new prefix is the head just summed, alone when it is exact (the usual
+        case), so _exact_parts runs only when fsum rounded something away.
         """
         p, last = self.p, self.last
         blocks = (self.opening, 0), (self.periods, 1), (self.unwind, last), (self.settlements, 1)
@@ -270,9 +272,18 @@ class _CashflowTable(NamedTuple):
         )
         prefix = _exact_parts([term for (term,) in opening])
         residuals = []
-        for period, settlement in zip(zip(*periods), zip(*settlements)):
-            residuals.append(_residual([*prefix, *settlement]))
-            prefix = _exact_parts([*prefix, *period])
+        try:
+            for period, settlement in zip(zip(*periods), zip(*settlements)):
+                residuals.append(_residual([*prefix, *settlement]))
+                values = [*prefix, *period]
+                head = math.fsum(values)
+                values.append(-head)
+                if math.fsum(values):  # fsum rounded something away
+                    prefix = _exact_parts(values[:-1])
+                else:  # head is exact; a sum of zero has no parts, as in _exact_parts
+                    prefix = [head] if head else []
+        except OverflowError:  # as curves.fsum: finite terms whose running sum is not
+            raise NonFiniteResult("a sum of finite terms overflows") from None
         # survival, and every default after the unwind, see every coupon and the unwind
         survival = _residual([*prefix, *(term for (term,) in unwind)])
         return residuals + [survival] * (len(self.times) - last)

@@ -489,15 +489,118 @@ def test_each_public_name_is_declared_once():
     assert bound == set(public)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only mc_check needs numpy; price, replicate, calibrate and implied-repo never load it
+def _fresh(code: str, *args: str) -> str:
+    """stdout of code run with args in a fresh interpreter that imports this package."""
     src = str(Path(cdsreplica.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cdsreplica.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only mc_check needs numpy; price, replicate, calibrate and implied-repo never load it
+    assert _fresh("import sys, cdsreplica.cli; print('numpy' in sys.modules)").strip() == "False"
+
+
+_RUN_IN_TURN = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import cdsreplica.cli as cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([code, "cdsreplica.replication" in sys.modules, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_replicate_loads_replication_and_only_mc_loads_numpy(tmp_path):
+    # the commands run in turn in one fresh interpreter: (exit code, replication
+    # loaded, numpy loaded) after each
+    quoted, invalid = tmp_path / "quoted.json", tmp_path / "invalid.json"
+    quoted.write_text(json.dumps({
+        **{k: v for k, v in F1_CONFIG.items() if k != "hazard_nodes"}, "cds_quote": 0.012,
+        "quotes": {"cds_bid": 0.011, "cds_ask": 0.012, "aswc_bid": 0.010, "aswc_ask": 0.013},
+    }))
+    invalid.write_text(json.dumps({**F1_CONFIG, "surprise": 1}))
+    argvs = [["--config", str(path), *argv] for path, argv in (
+        (quoted, ["price"]), (quoted, ["calibrate"]), (quoted, ["implied-repo"]),
+        (invalid, ["replicate"]), (quoted, ["replicate"]), (quoted, ["replicate", "--mc", "1000"]),
+    )]
+    loaded = json.loads(_fresh(_RUN_IN_TURN, json.dumps(argvs)))
+    assert loaded == [[0, False, False]] * 3 + [[2, False, False], [0, True, False], [0, True, True]]
+
+
+_SURFACE = """
+import json, sys
+import cdsreplica
+out = {"loaded": "cdsreplica.replication" in sys.modules, "bound": "mc_check" in vars(cdsreplica)}
+step = sys.argv[1]
+if step == "star":
+    namespace = {}
+    exec("from cdsreplica import *", namespace)
+    out["names"] = sorted(name for name in namespace if name != "__builtins__")
+elif step == "all":
+    out["names"] = cdsreplica.__all__
+elif step == "dir":
+    out["names"] = dir(cdsreplica)
+elif step == "attr":
+    out["same"] = cdsreplica.mc_check is cdsreplica.replication.mc_check
+else:
+    try:
+        cdsreplica.no_such_name
+    except AttributeError as exc:
+        out["error"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_public_surface_with_replication_loaded_lazily():
+    # replication's names resolve on first access; each step starts from a fresh import
+    expected = [name for module in ("curves", "errors", "pricers", "replication", "schedule")
+                for name in importlib.import_module(f"cdsreplica.{module}").__all__]
+    assert len(expected) == 54
+    steps = {step: json.loads(_fresh(_SURFACE, step))
+             for step in ("star", "all", "dir", "attr", "unknown")}
+    assert all(not out.pop("loaded") and not out.pop("bound") for out in steps.values())
+    assert steps["star"]["names"] == sorted(expected)
+    assert steps["all"]["names"] == expected
+    assert set(expected) <= set(steps["dir"]["names"])
+    assert steps["attr"]["same"] is True
+    assert "'cdsreplica'" in steps["unknown"]["error"]
+    assert "no_such_name" in steps["unknown"]["error"]
+
+
+_WRAPPED_BEFORE_LOAD = """
+import io, json, sys
+from contextlib import redirect_stdout
+import cdsreplica.cli as cli
+calls = []
+
+def wrap(name):
+    def wrapper(*args):
+        calls.append(name)
+        from cdsreplica import replication
+        return getattr(replication, name)(*args)
+    return wrapper
+
+before = "cdsreplica.replication" in sys.modules
+cli.mc_check, cli.replication_report = wrap("mc_check"), wrap("replication_report")
+with redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([before, code, calls]))
+"""
+
+
+def test_a_wrapper_set_before_replication_loads_is_called(config_file):
+    # bench/workloads.traced_cli and monkeypatches set these names on the cli module
+    argv = ["--config", config_file(F1_CONFIG), "replicate", "--mc", "1000"]
+    assert json.loads(_fresh(_WRAPPED_BEFORE_LOAD, *argv)) == [
+        False, 0, ["replication_report", "mc_check"]
+    ]
 
 
 def _price_config(market, repo: dict) -> dict:

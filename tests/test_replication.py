@@ -744,6 +744,41 @@ def test_exact_parts_keep_the_exact_sum(values, extra):
     assert math.fsum(replication._exact_parts(values) + extra) == math.fsum(values + extra)
 
 
+def _table(opening, periods, settlements, unwind):
+    """A cashflow table of bond and repo columns whose discount factors are all 1."""
+    def block(*columns):
+        return [(leg, list(amounts)) for leg, amounts in zip((Leg.BOND, Leg.REPO), columns)]
+
+    last = len(periods[0])
+    return replication._CashflowTable(
+        last=last, times=tuple(map(float, range(last + 1))), p=[1.0] * (last + 1),
+        opening=block(*opening), periods=block(*periods), settlements=block(*settlements),
+        unwind=block(*unwind), forward_price=1.0, asw_spread=0.0, cds_spread=0.0,
+    )
+
+
+def test_residuals_carry_what_a_prefix_sum_rounds_away():
+    # period 1 leaves 1e-300 under the rounding of its 1e16-sized head, and period 2
+    # brings the prefix back to exactly zero; every residual must still be the fsum
+    # of its whole slice
+    table = _table(
+        opening=([1e16], [1.0]),
+        periods=([1.0, -(1e16 + 2.0), 0.5], [1e-300, -1e-300, 0.25]),
+        settlements=([-1e16, -1e16, 0.0], [0.0, -2.0, -0.0]),
+        unwind=([7.0], [-1e16]),
+    )
+    expected = [math.fsum(e.amount for e in table.entries(bucket)) for bucket in (1, 2, 3, None)]
+    assert expected[1] == 1e-300  # the part a prefix kept as its head alone would lose
+    assert table.residuals() == expected
+
+
+def test_residuals_raise_when_a_prefix_sum_overflows():
+    table = _table(opening=([1e308], [0.0]), periods=([1e308], [0.0]),
+                   settlements=([0.0], [0.0]), unwind=([0.0], [0.0]))
+    with pytest.raises(NonFiniteResult, match="a sum of finite terms overflows"):
+        table.residuals()
+
+
 def _long_market(rng, periods, frequency=12):
     maturity = periods / frequency
     return (
