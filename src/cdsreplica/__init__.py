@@ -21,10 +21,17 @@ __version__ = "0.1.0"
 
 def __getattr__(name: str):
     """Load `replication` and bind name, one of its public names, `replication` or
-    `__all__`, into the package; any other name raises AttributeError."""
+    `__all__`, into the package; any other name raises AttributeError.
+
+    Another submodule raises at once, before `replication` loads: `from cdsreplica
+    import cli` asks for the attribute before it imports the submodule.
+    """
     # import_module, not `from . import replication`: that asks this __getattr__ again
     from importlib import import_module
+    from importlib.machinery import PathFinder
 
+    if name != "replication" and PathFinder.find_spec(name, __path__) is not None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     replication = import_module(f"{__name__}.replication")
     if name == "__all__":
         value = [*curves.__all__, *errors.__all__, *pricers.__all__, *replication.__all__,

@@ -29,7 +29,6 @@ is one exact sum over its slice, with the CDS negated.
 
 from __future__ import annotations
 
-import _thread
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -434,7 +433,8 @@ def replication_report(
     )
 
 
-# mc_check's largest path count: its uniforms alone take 8 bytes a path, 800 MB at the cap.
+# mc_check's largest path count. The draw takes the same time and memory at any count,
+# so the cap only keeps the documented range [1000, 10**8].
 _MAX_MC_PATHS = 10**8
 
 
@@ -450,25 +450,15 @@ def mc_check(
 ) -> McCheckResult:
     """Sampling cross-check of the enumeration: mean and standard error of the residual.
 
-    Default buckets are drawn with a counter-based generator (Philox keyed on
-    the seed), so draw i is a pure function of (seed, i): results are bitwise
-    reproducible for a given seed regardless of how paths are evaluated. The
-    seed is the 128-bit Philox key, and n_paths lies in [1000, 10**8]; each must
-    be an integer (_is_integer), else ConfigError. The paths are counted per
-    bucket, so the moments are O(N) sums over the N + 1 residuals of the
-    market's cashflow table, which a report on the same market has already
-    built (_table_and_residuals). The draws come in two chunks, split at
-    half = n_paths // 8 * 4, a multiple of 4 because Philox4x64 yields 4 draws
-    per counter step. A worker started before the market is resolved draws and
-    counts draws half..n_paths - 1 once this thread hands it the bucket bounds
-    (the `ready` lock), while this thread does 0..half - 1; this thread then
-    waits on the `done` lock, which the worker releases last. The two integer
-    counts add exactly, so every result is that of the one stream. A market that
-    fails to resolve raises its own error, once the worker has seen it and drawn
-    nothing; a chunk that raises (a MemoryError, say) raises in this thread.
-    threading.Thread.start would wait for the OS to run the worker: after a report,
-    1e5 paths on the book-long markets took 625-636 us that way and take 569-577 us
-    with the hand-off (2-CPU VM, BENCH_23.json).
+    The paths per default bucket are drawn at once, as one multinomial of n_paths
+    over the market's validated bucket probabilities (_grid_buckets), from a
+    counter-based generator (Philox keyed on the seed), so the result is a pure
+    function of the market, n_paths and the seed. The seed is the 128-bit Philox
+    key, and n_paths lies in [1000, 10**8]; each must be an integer (_is_integer),
+    else ConfigError. The draw costs O(N), flat in n_paths, and the moments are two
+    O(N) dot products of the counts with the N + 1 residuals of the market's
+    cashflow table, which a report on the same market has already built
+    (_table_and_residuals).
     numpy is imported here, so that pricing and the enumerated report never load it.
     """
     import numpy as np
@@ -480,65 +470,11 @@ def mc_check(
         raise ConfigError(f"mc paths: must lie in [1000, {_MAX_MC_PATHS}], got {n_paths}")
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
-    half = n_paths // 8 * 4
-    # both generators are made in this thread, so that the worker never races it to
-    # numpy's lazy import of numpy.random, which costs a switch interval or more
-    first, second = (
-        np.random.Generator(np.random.Philox(key=seed, counter=[start // 4, 0, 0, 0]))
-        for start in (0, half)
-    )
-    shared = {}
-    ready, done = _thread.allocate_lock(), _thread.allocate_lock()
-    ready.acquire()
-    done.acquire()
-
-    def count_second() -> None:
-        try:
-            ready.acquire()
-            if "cumulative" in shared:  # else the market failed: draw nothing
-                uniforms = second.random(n_paths - half)
-                shared["counts"] = _bucket_counts(shared["cumulative"], uniforms)
-        except BaseException as exc:  # re-raised below, never left to sys.unraisablehook
-            shared["error"] = exc
-        finally:
-            done.release()
-
-    # _thread, not threading.Thread: Thread.start blocks until the OS runs the new
-    # thread, where this thread can resolve the market meanwhile
-    _thread.start_new_thread(count_second, ())
-    try:
-        try:
-            g = _grid(discount, survival, schedule)
-            residuals = np.array(_table_and_residuals(g, schedule, bond, repo, clause_enabled)[1])
-            cumulative = np.cumsum(g.kept(_grid_buckets)[1])
-            cumulative[-1] = 1.0  # guard the top bucket against rounding
-            shared["cumulative"] = cumulative
-        finally:
-            ready.release()
-        counts = _bucket_counts(cumulative, first.random(half))
-    finally:
-        done.acquire()  # no worker outlives the call
-    if "error" in shared:
-        raise shared["error"]
-    counts += shared["counts"]
+    g = _grid(discount, survival, schedule)
+    residuals = np.array(_table_and_residuals(g, schedule, bond, repo, clause_enabled)[1])
+    generator = np.random.Generator(np.random.Philox(key=seed))
+    counts = generator.multinomial(n_paths, g.kept(_grid_buckets)[1])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at emission
         estimate = float(counts @ residuals / n_paths)
         variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))
     return McCheckResult(estimate=estimate, std_error=math.sqrt(variance) / math.sqrt(n_paths))
-
-
-def _bucket_counts(cumulative, uniforms):
-    """Paths per bucket: how many of the uniforms (numpy array, sorted here in place)
-    lie in [cumulative[b-1], cumulative[b]).
-
-    The multiset of buckets that searchsorted(cumulative, uniforms, side="right")
-    assigns path by path, from one sort and N + 1 searches into the sorted draws.
-    mc_check calls it once per chunk: in its own thread, and in the worker once the
-    bounds are handed over. numpy releases the GIL in the draw, the sort and the
-    searches, so the two calls overlap; a chunk of 5e4 draws takes about 0.39 ms to
-    draw and count on a 2-CPU VM.
-    """
-    import numpy as np
-
-    uniforms.sort()
-    return np.diff(np.searchsorted(uniforms, cumulative, side="left"), prepend=0)

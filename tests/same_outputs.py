@@ -7,10 +7,12 @@ ROOT is a checkout of this repository. Its `src` and `bench` directories go
 first on sys.path, so the package and the benchmark's inputs are ROOT's own.
 The script prints one JSON line:
 - the `workloads.digest` of the outputs of every `book-short` and `book-long`
-  op of seeds 1-2, per workload;
+  op of seeds 1-2, per workload, without their Monte Carlo result (`"mc"`),
+  and apart from them the digest of those results (`book-long-mc`);
 - the digest of the exit code, stdout and stderr of every `cli-mix` call of
   seeds 1-6, run in process through `cli.main`, once plain, once with
-  `--pretty` and once with `--pretty --bp`;
+  `--pretty` and once with `--pretty --bp`: the calls without `--mc`, and
+  apart from them those with it (`cli-mix-mc`);
 - the digest of every `mc_check` result at MC_PATHS paths and MC_SEEDS seeds on
   the seed-1 `book-long` markets and the first 40 `book-short` markets, clause
   on, and clause off where the repo runs to maturity: path counts on both
@@ -18,10 +20,11 @@ The script prints one JSON line:
 - the digest of `sorted(cdsreplica.__all__)`, the package's public names;
 - the digest of the seed-1 book ops run again in memo order (`memo_order`): their
   stages interleaved across markets in a shuffled order, so that every memo both hits
-  and misses. It must equal the digest of the same ops run one by one, each followed
-  by its evicting call on a market of its own, else the script prints its line and
-  exits 1.
-The same line for two checkouts means the same outputs and the same public names.
+  and misses, without and apart from their Monte Carlo results (`memo-order-mc`). It
+  must equal the digest of the same ops run one by one, each followed by its evicting
+  call on a market of its own, else the script prints its line and exits 1.
+The same line for two checkouts means the same outputs and the same public names; a
+change to the sampler alone moves only the `mc` digests.
 Given two roots, the script digests each in its own interpreter, prints both lines
 (PARENT's first), and exits 1 naming every digest that differs, or the root whose
 memo-order digest differs from its in-order one.
@@ -109,21 +112,24 @@ def main(root: Path) -> dict:
     line, in_order = {}, []
     for name, markets, op in (("book-short", short_markets, book_short_op),
                               ("book-long", long_markets, book_long_op)):
-        digests = [digest(op(spec, NullTracer())) for seed in BOOK_SEEDS for spec in markets(seed)]
-        line[name] = {"ops": len(digests), "digest": digest(digests)}
+        outs = [op(spec, NullTracer()) for seed in BOOK_SEEDS for spec in markets(seed)]
+        line[name] = {"ops": len(outs), "digest": digest([digest(o) for o in without_mc(outs)])}
+        if op is book_long_op:
+            line[f"{name}-mc"] = {"checks": len(outs), "digest": digest([o["mc"] for o in outs])}
         in_order += [(op, spec) for spec in markets(1)]
-    outputs = []
+    outputs, mc_outputs = [], []
     with tempfile.TemporaryDirectory() as directory:
         for seed in CLI_SEEDS:
             items = cli_items(seed)
             for item, path in zip(items, write_configs(items, Path(directory) / str(seed))):
                 for flags in CLI_FLAGS:
                     call = replace(item, argv=(*flags, *item.argv))
-                    outputs.append(tuple(
+                    (mc_outputs if "--mc" in item.argv else outputs).append(tuple(
                         o.replace(directory, "<dir>") if isinstance(o, str) else o
                         for o in run_cli_in_process(call, path)
                     ))
     line["cli-mix"] = {"calls": len(outputs), "digest": digest(outputs)}
+    line["cli-mix-mc"] = {"calls": len(mc_outputs), "digest": digest(mc_outputs)}
     checks = []
     for spec in [*long_markets(1), *short_markets(1)[:40]]:
         market = _build_market(spec, NullTracer())
@@ -133,13 +139,19 @@ def main(root: Path) -> dict:
     line["mc-check"] = {"checks": len(checks), "digest": digest(checks)}
     names = sorted(cdsreplica.__all__)
     line["public-names"] = {"names": len(names), "digest": digest(names)}
-    expected = digest([digest({**op(spec, NullTracer()),
-                               "evict": evict(spec, _build_market(spec, NullTracer()))})
-                       for op, spec in in_order])
-    shuffled = digest([digest(out) for out in memo_order(in_order)])
-    line["memo-order"] = {"ops": len(in_order), "digest": shuffled,
-                          "same-as-in-order": shuffled == expected}
+    expected = [{**op(spec, NullTracer()), "evict": evict(spec, _build_market(spec, NullTracer()))}
+                for op, spec in in_order]
+    shuffled = memo_order(in_order)
+    line["memo-order"] = {"ops": len(in_order),
+                          "digest": digest([digest(out) for out in without_mc(shuffled)]),
+                          "same-as-in-order": repr(shuffled) == repr(expected)}
+    line["memo-order-mc"] = {"digest": digest([out.get("mc") for out in shuffled])}
     return line
+
+
+def without_mc(outputs: list[dict]) -> list[dict]:
+    """Each op's output without its Monte Carlo result, the other keys in their order."""
+    return [{key: value for key, value in out.items() if key != "mc"} for out in outputs]
 
 
 def compare(parent: Path, change: Path) -> list[str]:

@@ -534,6 +534,12 @@ def test_only_replicate_loads_replication_and_only_mc_loads_numpy(tmp_path):
     assert loaded == [[0, False, False]] * 3 + [[2, False, False], [0, True, False], [0, True, True]]
 
 
+def test_importing_a_submodule_from_the_package_leaves_replication_unloaded():
+    # `from cdsreplica import cli` first asks the package for a `cli` attribute
+    code = "import sys; from cdsreplica import cli; print('cdsreplica.replication' in sys.modules)"
+    assert _fresh(code).strip() == "False"
+
+
 _SURFACE = """
 import json, sys
 import cdsreplica

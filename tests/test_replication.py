@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -465,104 +465,95 @@ class TestMcCheck:
         assert not math.isfinite(result.std_error)
 
 
+_Generator = np.random.Generator  # the real class, which the draws fixture replaces
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The counts of every multinomial drawn through np.random.Generator, in order."""
+    drawn = []
+
+    class Recording(_Generator):
+        def multinomial(self, n, pvals, size=None):
+            counts = super().multinomial(n, pvals, size)
+            drawn.append(counts.copy())
+            return counts
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return drawn
+
+
+def _one_draw(report, n_paths, seed):
+    """The bucket counts of the seed's Philox stream as one multinomial over the report's
+    probabilities, and mc_check's estimate and standard error from them."""
+    residuals = np.array([r.residual for r in report.scenarios])
+    probabilities = [r.probability for r in report.scenarios]
+    counts = _Generator(np.random.Philox(key=seed)).multinomial(n_paths, probabilities)
+    estimate = float(counts @ residuals / n_paths)
+    variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))
+    return counts, (estimate, math.sqrt(variance) / math.sqrt(n_paths))
+
+
 class TestMcSplit:
-    """mc_check draws in two chunks, the second on a worker thread; the counts add exactly."""
+    """mc_check splits its paths over the N + 1 buckets in one multinomial draw of the
+    seed's Philox stream, at any path count and over the whole 128-bit key range."""
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
     @pytest.mark.parametrize("n_paths", [1000, 1001, 1003, 99_999])
-    def test_counts_are_the_single_stream_buckets(self, f1, monkeypatch, n_paths, seed):
+    def test_counts_are_the_single_stream_buckets(self, f1, draws, n_paths, seed):
         repo = RepoSpec(spread=0.001)
         report = replication_report(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False)
-        residuals = np.array([r.residual for r in report.scenarios])
-        cumulative = np.cumsum([r.probability for r in report.scenarios])
-        cumulative[-1] = 1.0
-        single = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
-        expected = np.bincount(np.searchsorted(cumulative, single, side="right"),
-                               minlength=len(residuals))
-        # threads are told apart by get_ident: threading.current_thread() in the
-        # worker would register a dummy Thread that is never removed
-        caller, chunks = threading.get_ident(), {}
-        real = replication._bucket_counts
-
-        def recorded(cumulative, uniforms):
-            drawn = uniforms.copy()  # before _bucket_counts sorts them
-            counts = real(cumulative, uniforms)
-            chunks[threading.get_ident() == caller] = drawn, counts.copy()
-            return counts
-
-        monkeypatch.setattr(replication, "_bucket_counts", recorded)
+        counts, moments = _one_draw(report, n_paths, seed)
         result = mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False,
                           n_paths, seed)
-        (first, first_counts), (second, second_counts) = chunks[True], chunks[False]
-        # this thread draws 0..h - 1 and the worker h..n_paths - 1, h a multiple of 4
-        assert len(first) == n_paths // 8 * 4
-        assert np.concatenate([first, second]).tobytes() == single.tobytes()
-        assert (first_counts + second_counts).tolist() == expected.tolist()
-        # the moments of one stream's counts, bit for bit
-        estimate = float(expected @ residuals / n_paths)
-        variance = float(expected @ (residuals - estimate) ** 2 / (n_paths - 1))
-        assert result == (estimate, math.sqrt(variance) / math.sqrt(n_paths))
+        assert [c.tolist() for c in draws] == [counts.tolist()]
+        assert result == moments
 
-    @pytest.mark.parametrize("raising", ["worker", "caller"])
-    def test_a_raising_chunk_raises_in_the_caller(self, f1, monkeypatch, raising):
-        # the worker's exception reaches the caller, never sys.unraisablehook (which
-        # the suite's filterwarnings turns into a failure), and the call returns only
-        # once both chunks have finished. Threads are told apart by get_ident: calling
-        # threading.current_thread() in the worker would register a dummy Thread
-        caller = threading.get_ident()
-        error = MemoryError("chunk")
-        real = replication._bucket_counts
-        finished = []
+    def test_memory_does_not_grow_with_the_paths(self, f1):
+        # numpy reports its buffers to tracemalloc; a per-path array would take 800 MB
+        market = f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001), False
+        mc_check(*market, 1000, seed=1)  # numpy.random and the market's table, loaded once
+        tracemalloc.start()
+        try:
+            result = mc_check(*market, replication._MAX_MC_PATHS, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert math.isfinite(result.estimate) and math.isfinite(result.std_error)
 
-        def failing(cumulative, uniforms):
-            try:
-                if (threading.get_ident() == caller) == (raising == "caller"):
-                    raise error
-                return real(cumulative, uniforms)
-            finally:
-                finished.append(threading.get_ident() == caller)
+    def test_z_scores_are_standard_normal(self, f1):
+        # the criterion-8 market over 200 seeds: the estimate is unbiased and its standard
+        # error has the right scale
+        repo = RepoSpec(spread=0.001)
+        market = f1.discount, f1.survival, f1.schedule, f1.bond, repo, False
+        asw_spread = replication_report(*market).asw_spread
+        analytic = -early_termination_pv(*market[:4], asw_spread)
+        z = np.array([(r.estimate - analytic) / r.std_error
+                      for r in (mc_check(*market, 100_000, seed) for seed in range(200))])
+        assert abs(z.mean()) <= 0.2
+        assert 0.85 <= z.std(ddof=1) <= 1.15
+        assert np.abs(z).max() <= 4.0
 
-        monkeypatch.setattr(replication, "_bucket_counts", failing)
-        with pytest.raises(MemoryError) as raised:
-            mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001),
-                     True, 2000, seed=5)
-        assert raised.value is error
-        assert sorted(finished) == [False, True]
+    def test_survival_near_zero_draws(self, draws):
+        # every path defaults: the default buckets' probabilities sum to 1 up to rounding,
+        # within what numpy's multinomial accepts for all but the last
+        discount, survival = DiscountCurve.flat(0.02), SurvivalCurve.flat(10.0)
+        schedule, bond = build_schedule(0.0, 30.0, 12), BondSpec(coupon=0.05, recovery=0.4)
+        assert schedule.n_periods == 360 and survival.survival_prob(30.0) < 1e-100
+        result = mc_check(discount, survival, schedule, bond, RepoSpec(0.001), True, 100_000, 3)
+        assert draws[0].sum() == 100_000 and draws[0][-1] == 0
+        assert abs(result.estimate) < TOL
 
 
 class TestMcHandOff:
-    """The worker starts before the market is resolved and draws once the caller hands
-    it the bucket bounds; a market that fails to resolve is drawn by neither thread."""
-
-    def test_a_caller_slow_to_resolve_gives_the_single_stream(self, f1, monkeypatch):
-        repo = RepoSpec(spread=0.001)
-        report = replication_report(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False)
-        residuals = np.array([r.residual for r in report.scenarios])
-        cumulative = np.cumsum([r.probability for r in report.scenarios])
-        cumulative[-1] = 1.0
-        n_paths, seed = 10_001, 11
-        single = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
-        counts = np.bincount(np.searchsorted(cumulative, single, side="right"),
-                             minlength=len(residuals))
-        estimate = float(counts @ residuals / n_paths)
-        variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))
-        real = replication._table_and_residuals
-
-        def slow(*args):
-            time.sleep(0.02)  # the worker is up long before the market is resolved
-            return real(*args)
-
-        monkeypatch.setattr(replication, "_table_and_residuals", slow)
-        result = mc_check(f1.discount, f1.survival, f1.schedule, f1.bond, repo, False,
-                          n_paths, seed)
-        assert result == (estimate, math.sqrt(variance) / math.sqrt(n_paths))
+    """mc_check resolves the market before it draws, and callers on several threads
+    each get their own bits."""
 
     @pytest.mark.parametrize("failure", ["early_repo_without_clause", "non_finite"])
     def test_a_market_that_fails_raises_its_error_and_draws_nothing(
-        self, f1, monkeypatch, failure
+        self, f1, monkeypatch, draws, failure
     ):
-        drawn = []
-        monkeypatch.setattr(replication, "_bucket_counts", lambda *args: drawn.append(args))
         repo = RepoSpec(spread=0.001)
         if failure == "non_finite":
             error = NonFiniteResult("residual")
@@ -579,7 +570,7 @@ class TestMcHandOff:
             assert raised.value is error
         else:
             assert type(raised.value) is InconsistentSpecs
-        assert drawn == []  # in neither thread: the caller waits for the worker to finish
+        assert draws == []
 
     def test_concurrent_calls_keep_their_bits(self, f1):
         # more callers than cores, each with its own worker and locks, on markets that
@@ -693,31 +684,15 @@ def _mc_cases():
             yield market, RepoSpec(spread, maturity=maturity), True
 
 
-def test_mc_counts_are_the_per_path_buckets():
-    # the check counts paths per bucket; sampling each path on its own must give
-    # the same buckets and, up to the order of the sums, the same moments
-    import numpy as np
-
+def test_mc_counts_are_one_multinomial_draw(draws):
+    # on every market, the counts are one multinomial of the seed's stream over the
+    # report's probabilities, and the moments are theirs, bit for bit
     n_paths = 20_000
     for seed, (market, repo, clause) in enumerate(_mc_cases()):
-        report = replication_report(*market, repo, clause)
-        residuals = np.array([r.residual for r in report.scenarios])
-        cumulative = np.cumsum([r.probability for r in report.scenarios])
-        cumulative[-1] = 1.0
-        uniforms = np.random.Generator(np.random.Philox(key=seed)).random(n_paths)
-        buckets = np.searchsorted(cumulative, uniforms, side="right")
-        counts = replication._bucket_counts(cumulative, uniforms.copy())
-        expected = np.bincount(buckets, minlength=len(residuals))
-        assert counts.tolist() == expected.tolist()
-        sampled = residuals[buckets]
-        std_error = sampled.std(ddof=1) / math.sqrt(n_paths)
-        result = mc_check(*market, repo, clause, n_paths, seed)
-        assert abs(result.estimate - sampled.mean()) <= 1e-9 * std_error
-        assert abs(result.std_error - std_error) <= 1e-9 * std_error
-    # a draw equal to a cumulative probability lies in the bucket above it, as in searchsorted
-    cumulative = np.array([0.25, 0.5, 1.0])
-    uniforms = np.array([0.5, 0.0, 0.25, 0.3, 0.75])
-    assert replication._bucket_counts(cumulative, uniforms).tolist() == [1, 2, 2]
+        counts, moments = _one_draw(replication_report(*market, repo, clause), n_paths, seed)
+        draws.clear()
+        assert mc_check(*market, repo, clause, n_paths, seed) == moments
+        assert [c.tolist() for c in draws] == [counts.tolist()]
 
 
 @given(seed=st.integers(0, 10**9), repo_bp=st.integers(-100, 200))
