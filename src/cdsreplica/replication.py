@@ -13,7 +13,7 @@ payout. Booking them gross keeps each leg's enumerated value equal to its
 instrument's price.
 
 Every scenario's ledger is a slice of one per-market cashflow table, held
-as four blocks of per-leg columns of amounts:
+as four blocks of per-leg columns of terms:
 - the opening at t0: a bond, a repo and an asset swap column of one entry;
 - the coupons of periods 1..L: a bond, a repo, an asset swap and a CDS
   column, entry k paid at t_k;
@@ -23,8 +23,12 @@ as four blocks of per-leg columns of amounts:
 - the survival unwind at t_L: a bond and a repo column of one entry.
 A default in bucket b sees the opening, the coupons before b and its
 settlement; survival sees the opening, every coupon and the unwind. Each
-column is discounted and checked once (_discounted), and a scenario residual
-is one exact sum over its slice, with the CDS negated.
+amount is booked times the weight of its date. The report books P, so its
+table holds discounted terms, and a scenario residual is one exact sum over
+its slice, with the CDS negated: the prefix sums the scenarios share are
+formed once and proved exact in one pass (_CashflowTable.residuals), and the
+terms are checked for finiteness only when a sum is not. The ledger books
+ones, and discounts its entries apart, through the discount curve.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -110,27 +114,17 @@ class CashflowLedger:
 
     def residual(self, discount: DiscountCurve) -> float:
         """Portfolio (bond + repo + asset swap) minus CDS, discounted to t0."""
-        return _residual([t for c in self._columns(discount, Leg) for t in _signed(*c)])
+        return fsum([t for c in self._columns(discount, Leg) for t in _signed(*c)])
 
     def _columns(self, discount: DiscountCurve, legs: Iterable[Leg]) -> list[_Column]:
-        """Each of legs' entries, in entry order, as one discounted column (_discounted),
-        checked leg by leg."""
+        """Each of legs' entries, in entry order, as one discounted column, checked
+        leg by leg (_checked)."""
         columns = [(leg, [e for e in self.entries if e.leg is leg]) for leg in legs]
         dfs = {t: discount.discount_factor(t) for t in {e.time for _, c in columns for e in c}}
         return [
-            (leg, _discounted((leg, [e.amount for e in c]), [dfs[e.time] for e in c],
-                              lambda j: f"t = {c[j].time}"))
+            (leg, _checked(leg, [e.amount * dfs[e.time] for e in c], lambda j: f"t = {c[j].time}"))
             for leg, c in columns
         ]
-
-
-def _residual(terms: list[float]) -> float:
-    """Portfolio (bond + repo + asset swap) minus CDS: the entries' terms, summed exactly.
-
-    fsum is correctly rounded, so the result does not depend on the order of
-    the terms, only on which terms a scenario holds.
-    """
-    return fsum(terms)
 
 
 class ScenarioResidual(NamedTuple):
@@ -177,12 +171,17 @@ def enumerate_scenarios(survival: SurvivalCurve, schedule: Schedule) -> list[Def
     return list(map(DefaultScenario, *_buckets(default_distribution(survival, schedule))))
 
 
-_Column = tuple[Leg, list[float]]  # one leg's amounts, on consecutive dates of the grid
+_Column = tuple[Leg, list[float]]  # one leg's terms, on consecutive dates of the grid
+
+# A scenario residual, portfolio (bond + repo + asset swap) minus CDS: its terms summed
+# exactly. fsum is correctly rounded, so it does not depend on the order of the terms,
+# only on which terms a scenario holds; a builtin, so that the report maps it in C.
+_residual = math.fsum
 
 
 def _exact_parts(values: list[float]) -> list[float]:
     """A few floats whose exact sum is that of values: fsum, then fsum of what it
-    rounded away, until nothing is left. values are finite (_discounted)."""
+    rounded away, until nothing is left. values are finite (_checked)."""
     parts: list[float] = []
     rest = fsum(values)
     while rest:
@@ -192,15 +191,13 @@ def _exact_parts(values: list[float]) -> list[float]:
     return parts
 
 
-def _discounted(column: _Column, dfs: Iterable[float], date: Callable[[int], str]) -> list[float]:
-    """amount * P for each amount of the column and its discount factor in dfs.
+def _checked(leg: Leg, terms: list[float], date: Callable[[int], str]) -> list[float]:
+    """A column's discounted terms, once each is finite.
 
-    The first term j that is not finite raises NonFiniteResult naming the
-    column's leg and date(j): one C-level pass when every term is finite, and
-    date is called only on failure.
+    The first term j that is not finite raises NonFiniteResult naming the leg
+    and date(j): one C-level pass when every term is finite, and date is called
+    only on failure.
     """
-    leg, amounts = column
-    terms = list(map(mul, amounts, dfs))
     if not all(map(math.isfinite, terms)):
         j = next(j for j, term in enumerate(terms) if not math.isfinite(term))
         name = leg.value.replace("_", " ")
@@ -217,16 +214,17 @@ def _signed(leg: Leg, terms: list[float]) -> list[float]:
 class _CashflowTable(NamedTuple):
     """Every cashflow of one market, each written down once, as four blocks of per-leg columns.
 
-    opening holds the bond, repo and asset swap amounts at t0; periods holds
+    opening holds the bond, repo and asset swap terms at t0; periods holds
     the bond, repo, asset swap and CDS columns of the coupons of periods 1..L;
     settlements holds the bond, repo, asset swap (with the clause off only)
     and CDS columns of the settlement of a default in bucket b = 1..L, paid at
-    t_b; unwind holds the bond and repo amounts at t_L, the survival unwind.
+    t_b; unwind holds the bond and repo terms at t_L, the survival unwind.
+    A term is its amount times the weight of its date (_cashflow_table): a
+    discounted cashflow in the report's table, the amount itself in a ledger's.
     """
 
     last: int  # L: the periods the repo runs
     times: tuple[float, ...]  # t0, t_1, ..., t_N
-    p: Sequence[float]  # P at the same times
     opening: list[_Column]
     periods: list[_Column]
     settlements: list[_Column]
@@ -255,47 +253,57 @@ class _CashflowTable(NamedTuple):
     def residuals(self) -> list[float]:
         """Residuals of default buckets 1..N, then of survival, over the terms of their entries.
 
-        Each column is discounted and checked once (_discounted), the blocks in
-        the order opening, periods, unwind, settlements. The scenarios share the
-        opening and the periods survived, so that prefix is carried forward as
-        its _exact_parts: each residual is one fsum over O(1) values, equal bit
-        for bit to the fsum over its whole slice, because fsum is correctly rounded.
-        The new prefix is the head just summed, alone when it is exact (the usual
-        case), so _exact_parts runs only when fsum rounded something away.
+        The scenarios share the opening and the periods survived, so the sums of
+        those prefixes (the heads) are formed once, in C: the head after period k
+        is the head before it plus the fsum of period k's row. One pass proves
+        them exact, each head, the next row and minus the next head summing to
+        zero, as does the opening with minus the first head. Then each residual
+        is one fsum of its head and its settlement row, equal bit for bit to the
+        fsum over its whole slice, because fsum is correctly rounded. Every term
+        enters a sum, so the terms are checked (_checked, the blocks in the order
+        opening, periods, unwind, settlements) only when the last head or a
+        residual is not finite, or an fsum raises. Where the proof fails, the
+        prefix is carried from bucket to bucket as its _exact_parts instead.
         """
-        p, last = self.p, self.last
-        blocks = (self.opening, 0), (self.periods, 1), (self.unwind, last), (self.settlements, 1)
-        opening, periods, unwind, settlements = (  # entry j of a column of block b paid at t_{k+j}
-            [_signed(c[0], _discounted(c, p[k:], lambda j: f"t_{k + j}")) for c in b]
-            for b, k in blocks
-        )
-        prefix = _exact_parts([term for (term,) in opening])
-        residuals = []
+        last = self.last
+        opening, unwind = ([t for _, (t,) in b] for b in (self.opening, self.unwind))  # no CDS
+        periods, settlements = ([_signed(*c) for c in b] for b in (self.periods, self.settlements))
         try:
+            heads = list(accumulate(map(math.fsum, zip(*periods)), initial=math.fsum(opening)))
+            residuals = list(map(_residual, zip(heads, *settlements)))
+            # survival, and every default after the unwind, see every coupon and the unwind
+            residuals.append(_residual([heads[-1], *unwind]))
+            finite = math.isfinite(heads[-1]) and all(map(math.isfinite, residuals))
+            exact = not math.fsum([*opening, -heads[0]]) and not any(
+                map(math.fsum, zip(heads, *periods, map(neg, heads[1:]))))
+        except (OverflowError, ValueError):  # a running sum overflows, or meets inf - inf
+            finite = exact = False
+        if not finite:  # a term that is not finite is named, the first in block order
+            blocks = ((self.opening, 0), (self.periods, 1), (self.unwind, last),
+                      (self.settlements, 1))
+            for (leg, terms), k in ((c, k) for block, k in blocks for c in block):
+                _checked(leg, terms, lambda j: f"t_{k + j}")  # entry j paid at t_{k+j}
+        if not exact:  # each fsum here raises, as curves.fsum, where a running sum overflows
+            prefix, residuals = _exact_parts(opening), []
             for period, settlement in zip(zip(*periods), zip(*settlements)):
-                residuals.append(_residual([*prefix, *settlement]))
-                values = [*prefix, *period]
-                head = math.fsum(values)
-                values.append(-head)
-                if math.fsum(values):  # fsum rounded something away
-                    prefix = _exact_parts(values[:-1])
-                else:  # head is exact; a sum of zero has no parts, as in _exact_parts
-                    prefix = [head] if head else []
-        except OverflowError:  # as curves.fsum: finite terms whose running sum is not
-            raise NonFiniteResult("a sum of finite terms overflows") from None
-        # survival, and every default after the unwind, see every coupon and the unwind
-        survival = _residual([*prefix, *(term for (term,) in unwind)])
-        return residuals + [survival] * (len(self.times) - last)
+                residuals.append(fsum([*prefix, *settlement]))
+                prefix = _exact_parts([*prefix, *period])
+            residuals.append(fsum([*prefix, *unwind]))
+        return residuals + residuals[-1:] * (len(self.times) - last - 1)
 
 
 def _cashflow_table(
     g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool,
-    spreads: tuple[float, float] | None = None,
+    weights: Sequence[float], spreads: tuple[float, float] | None = None,
 ) -> _CashflowTable:
-    """The O(L) amounts behind all N + 1 scenario ledgers, for the repo resolved onto the grid.
+    """The O(L) terms behind all N + 1 scenario ledgers, for the repo resolved onto the grid.
 
-    spreads is (asw, cds); None means the par spread of the swap actually
-    traded, with the CDS at that spread plus the repo spread.
+    Each amount is booked times weights[k], the weight of its date t_k (t0 first),
+    in the expression that forms it, so c * theta * P is (c * theta) * P: the report
+    books P, so each term is discounted as it is born, and portfolio_ledger books
+    ones, so each term is its amount (x * 1.0 == x). spreads is (asw, cds); None
+    means the par spread of the swap actually traded, with the CDS at that spread
+    plus the repo spread.
     """
     last, fair, fwd_price = _repo_on_grid(g, schedule, bond, repo)
     if not clause_enabled and last < schedule.n_periods:
@@ -312,28 +320,31 @@ def _cashflow_table(
     mtm_values = None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread)
     asw_spread = _finite("asw spread", asw_spread)
     cds_spread = _finite("cds spread", cds_spread)
-    theta, eps = g.theta[:last], g.eps[:last]
+    theta, eps, ws = g.theta[:last], g.eps[:last], weights[1 : last + 1]  # ws: t_1..t_L
+    coupon, recovery, spread = bond.coupon, bond.recovery, repo.spread
     rolled = [1.0 + e * th for e, th in zip(eps, theta)]
     periods = [
-        (Leg.BOND, [bond.coupon * th for th in theta]),
-        (Leg.REPO, [(-e + repo.spread) * th for e, th in zip(eps, theta)]),
-        (Leg.ASSET_SWAP, [(-bond.coupon + e + asw_spread) * th for e, th in zip(eps, theta)]),
-        (Leg.CDS, [cds_spread * th for th in theta]),
+        (Leg.BOND, [coupon * th * w for th, w in zip(theta, ws)]),
+        (Leg.REPO, [(-e + spread) * th * w for e, th, w in zip(eps, theta, ws)]),
+        (Leg.ASSET_SWAP,
+         [(-coupon + e + asw_spread) * th * w for e, th, w in zip(eps, theta, ws)]),
+        (Leg.CDS, [cds_spread * th * w for th, w in zip(theta, ws)]),
     ]
     settlements = [
-        (Leg.BOND, [bond.recovery * r for r in rolled]),
-        (Leg.REPO, [-r for r in rolled]),
-        *([] if mtm_values is None else [(Leg.ASSET_SWAP, mtm_values)]),
-        (Leg.CDS, [-lgd * r for r in rolled]),
+        (Leg.BOND, [recovery * r * w for r, w in zip(rolled, ws)]),
+        (Leg.REPO, [-r * w for r, w in zip(rolled, ws)]),
+        *([] if mtm_values is None else [(Leg.ASSET_SWAP, list(map(mul, mtm_values, ws)))]),
+        (Leg.CDS, [-lgd * r * w for r, w in zip(rolled, ws)]),
     ]
+    w0, w_last = weights[0], weights[last]
     opening = [
-        (Leg.BOND, [-bond_price]),
-        (Leg.REPO, [fwd_price]),
-        (Leg.ASSET_SWAP, [bond_price - fwd_price]),
+        (Leg.BOND, [-bond_price * w0]),
+        (Leg.REPO, [fwd_price * w0]),
+        (Leg.ASSET_SWAP, [(bond_price - fwd_price) * w0]),
     ]
-    unwind = [(Leg.BOND, [terminal_price]), (Leg.REPO, [-fwd_price])]
+    unwind = [(Leg.BOND, [terminal_price * w_last]), (Leg.REPO, [-fwd_price * w_last])]
     return _CashflowTable(
-        last, (schedule.t0, *schedule.dates), g.p, opening, periods, settlements, unwind,
+        last, (schedule.t0, *schedule.dates), opening, periods, settlements, unwind,
         fwd_price, asw_spread, cds_spread,
     )
 
@@ -361,7 +372,7 @@ def _table_and_residuals(
         if (p is g.p and q is g.q and stored_schedule is schedule and clause == clause_enabled
                 and _same(stored_bond, bond) and _same(stored_repo, repo)):
             return value
-    table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
+    table = _cashflow_table(g, schedule, bond, repo, clause_enabled, g.p)
     value = table, tuple(table.residuals())
     _last_table = (g.p, g.q, schedule, clause_enabled, bond, repo), value
     return value
@@ -385,7 +396,8 @@ def portfolio_ledger(
     bucket is None (survival) or an integer in 1..N, else InconsistentSpecs.
     """
     g = _grid(discount, survival, schedule)
-    table = _cashflow_table(g, schedule, bond, repo, clause_enabled, (asw_spread, cds_spread))
+    spreads = asw_spread, cds_spread
+    table = _cashflow_table(g, schedule, bond, repo, clause_enabled, [1.0] * len(g.p), spreads)
     return CashflowLedger(entries=table.entries(scenario.default_bucket))
 
 
@@ -471,9 +483,11 @@ def mc_check(
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     g = _grid(discount, survival, schedule)
-    residuals = np.array(_table_and_residuals(g, schedule, bond, repo, clause_enabled)[1])
+    residuals = _table_and_residuals(g, schedule, bond, repo, clause_enabled)[1]
+    residuals = np.fromiter(residuals, float, len(residuals))
+    probabilities = g.kept(_grid_buckets)[1]
     generator = np.random.Generator(np.random.Philox(key=seed))
-    counts = generator.multinomial(n_paths, g.kept(_grid_buckets)[1])
+    counts = generator.multinomial(n_paths, np.fromiter(probabilities, float, len(probabilities)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails at emission
         estimate = float(counts @ residuals / n_paths)
         variance = float(counts @ (residuals - estimate) ** 2 / (n_paths - 1))

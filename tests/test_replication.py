@@ -35,6 +35,7 @@ from cdsreplica import (
     price_sheet,
     replication_report,
 )
+from cdsreplica.curves import _grid
 from markets import random_discount, random_market, random_survival
 
 TOL = 1e-12
@@ -720,13 +721,13 @@ def test_exact_parts_keep_the_exact_sum(values, extra):
 
 
 def _table(opening, periods, settlements, unwind):
-    """A cashflow table of bond and repo columns whose discount factors are all 1."""
+    """A cashflow table of bond and repo columns of terms, the amounts booked with weight 1."""
     def block(*columns):
-        return [(leg, list(amounts)) for leg, amounts in zip((Leg.BOND, Leg.REPO), columns)]
+        return [(leg, list(terms)) for leg, terms in zip((Leg.BOND, Leg.REPO), columns)]
 
     last = len(periods[0])
     return replication._CashflowTable(
-        last=last, times=tuple(map(float, range(last + 1))), p=[1.0] * (last + 1),
+        last=last, times=tuple(map(float, range(last + 1))),
         opening=block(*opening), periods=block(*periods), settlements=block(*settlements),
         unwind=block(*unwind), forward_price=1.0, asw_spread=0.0, cds_spread=0.0,
     )
@@ -745,6 +746,24 @@ def test_residuals_carry_what_a_prefix_sum_rounds_away():
     expected = [math.fsum(e.amount for e in table.entries(bucket)) for bucket in (1, 2, 3, None)]
     assert expected[1] == 1e-300  # the part a prefix kept as its head alone would lose
     assert table.residuals() == expected
+
+
+def _slice_sums(table):
+    """math.fsum over each scenario's whole slice of the table's terms, the CDS negated:
+    default buckets 1..N, then survival."""
+    return [
+        math.fsum(-e.amount if e.leg is Leg.CDS else e.amount for e in table.entries(bucket))
+        for bucket in (*range(1, len(table.times)), None)
+    ]
+
+
+def test_residuals_carry_what_the_opening_sum_rounds_away():
+    # the opening's 1.0 is lost under the rounding of its 1e16-sized sum, and every
+    # period row sums to exactly zero; each residual must still count it
+    table = _table(opening=([1e16], [1.0]), periods=([0.0, 0.0], [0.0, 0.0]),
+                   settlements=([-1e16, -1e16], [0.0, 0.0]), unwind=([-1e16], [0.0]))
+    assert _slice_sums(table) == [1.0, 1.0, 1.0]
+    assert table.residuals() == _slice_sums(table)
 
 
 def test_residuals_raise_when_a_prefix_sum_overflows():
@@ -792,3 +811,105 @@ def test_report_residuals_are_the_ledger_residuals_exactly():
             assert row.residual == ledger.residual(discount)
             compared += 1
     assert compared > 5000
+
+
+def test_report_residuals_take_the_batched_pass(monkeypatch):
+    # on the markets and deals of the ledger comparison, every table's heads are proved
+    # exact, so the report never carries a prefix bucket by bucket (_exact_parts)
+    def refused(values):
+        raise AssertionError("the report fell back to _exact_parts")
+
+    monkeypatch.setattr(replication, "_exact_parts", refused)
+    monkeypatch.setattr(replication, "_last_table", None)
+    test_report_residuals_are_the_ledger_residuals_exactly()
+
+
+def test_a_market_that_fails_the_proof_keeps_its_bits(monkeypatch):
+    # quarterly over 2.5y with a repo to 1.25y: the head after period 4 is about 2.8e-19,
+    # and period 5's row does not add to it exactly (about 1e-34 is lost), so the report
+    # carries the prefix as its _exact_parts; every residual is still its slice's fsum
+    calls, real = [], replication._exact_parts
+    monkeypatch.setattr(replication, "_exact_parts", lambda parts: calls.append(1) or real(parts))
+    discount = DiscountCurve((1.0,), (0.07388212074524665,))
+    survival = SurvivalCurve((1.0,), (0.04588275721443137,))
+    schedule = build_schedule(0.0, 2.5, 4)
+    bond = BondSpec(0.04818646440472815, 0.7687255450544161)
+    repo = RepoSpec(0.017301822112460126, maturity=1.25)
+    table, residuals = replication._table_and_residuals(
+        _grid(discount, survival, schedule), schedule, bond, repo, True
+    )
+    assert calls
+    assert [r.hex() for r in residuals] == [r.hex() for r in _slice_sums(table)]
+
+
+# Tables whose first term that is not finite lies in a coupon row or a settlement row,
+# and the message each raised when every column was discounted and checked before any
+# sum; the terms are now checked only once a sum is not finite.
+_SETTLEMENT_MARKET = (  # MtM_7 = tail / P_7 overflows, P_7 about exp(-300), the clause off
+    DiscountCurve((2.0, 4.0, 5.0), (0.02, 200.0, -200.0)), SurvivalCurve.flat(0.0),
+    build_schedule(0.0, 5.0, 2), BondSpec(1e300, 0.9), RepoSpec(0.001),
+)
+_COUPON_MARKET = (  # (-eps_1 + 1e300) * theta_1 * P_1 overflows, P_1 = exp(100)
+    DiscountCurve.flat(-100.0), SurvivalCurve.flat(0.02), build_schedule(0.0, 5.0, 1),
+    BondSpec(0.05, 0.4), RepoSpec(1e300),
+)
+
+
+@pytest.mark.parametrize(
+    "market, clause, message",
+    [
+        (_COUPON_MARKET, True, "discounted repo cashflow at t_1 is not a finite number"),
+        (_COUPON_MARKET, False, "discounted repo cashflow at t_1 is not a finite number"),
+        (_SETTLEMENT_MARKET, False,
+         "discounted asset swap cashflow at t_7 is not a finite number"),
+    ],
+    ids=["coupon-clause", "coupon-no-clause", "settlement-no-clause"],
+)
+def test_a_report_names_the_term_that_overflows(market, clause, message):
+    with pytest.raises(NonFiniteResult) as raised:
+        replication_report(*market, clause)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("clause", [True, False], ids=["clause", "no-clause"])
+@pytest.mark.parametrize(
+    "rate, row",
+    # a weight of 1e308 at t_2: at 70% the repo's settlement -(1 + eps_2) overflows and
+    # its coupon -eps_2 + s does not; at 300% the coupon overflows too, and is named
+    [(0.7, "settlement"), (3.0, "coupon")],
+)
+def test_a_table_names_the_term_that_overflows(rate, row, clause):
+    discount, survival = DiscountCurve.flat(rate), SurvivalCurve.flat(0.02)
+    schedule = build_schedule(0.0, 5.0, 1)
+    g = _grid(discount, survival, schedule)
+    weights = [*g.p[:2], 1e308, *g.p[3:]]
+    table = replication._cashflow_table(
+        g, schedule, BondSpec(0.05, 0.4), RepoSpec(0.001), clause, weights
+    )
+    repo_coupons = table.periods[1][1]
+    assert (not all(map(math.isfinite, repo_coupons))) == (row == "coupon")
+    with pytest.raises(NonFiniteResult) as raised:
+        table.residuals()
+    assert str(raised.value) == "discounted repo cashflow at t_2 is not a finite number"
+
+
+@given(
+    seed=st.integers(0, 10**9), periods=st.integers(1, 360),
+    frequency=st.sampled_from((1, 4, 12)), deal=st.sampled_from(("clause", "no-clause", "early")),
+)
+@example(seed=0, periods=360, frequency=12, deal="clause")
+@example(seed=1, periods=360, frequency=4, deal="no-clause")
+@settings(max_examples=12, deadline=None)
+def test_each_residual_is_the_fsum_of_its_slice(seed, periods, frequency, deal):
+    # the report's table holds discounted terms; each residual must be, bit for bit,
+    # math.fsum over its scenario's whole slice of them, the CDS negated
+    rng = random.Random(seed)
+    discount, survival, schedule, bond = _long_market(rng, periods, frequency)
+    repo = RepoSpec(rng.uniform(-0.01, 0.02))
+    if deal == "early" and periods > 1:
+        repo = RepoSpec(repo.spread, maturity=schedule.dates[rng.randrange(periods - 1)])
+    g = _grid(discount, survival, schedule)
+    table, residuals = replication._table_and_residuals(
+        g, schedule, bond, repo, deal != "no-clause"
+    )
+    assert [r.hex() for r in residuals] == [r.hex() for r in _slice_sums(table)]
