@@ -192,6 +192,16 @@ class SurvivalCurve:
     def flat(cls, hazard: float, t0: float = 0.0) -> "SurvivalCurve":
         return cls(node_times=(_real("t0", t0) + 1.0,), hazards=(hazard,), t0=t0)
 
+    @classmethod
+    def _trial(cls, hazard: float, t0: float) -> "SurvivalCurve":
+        """flat(hazard, t0) without its checks, for the fit's points alone: the fit checks
+        its inputs once, and each hazard it tries is a number in its bracket."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "node_times", (float(t0 + 1.0),))
+        object.__setattr__(curve, "hazards", (float(hazard),))
+        object.__setattr__(curve, "t0", t0)
+        return curve
+
     def _at(self, times: Sequence[float]) -> list[float]:
         """Q at each of the ascending times."""
         return _exp_integrals("survival", self.t0, self.node_times, self.hazards, times)
@@ -344,13 +354,17 @@ def _calibrate_flat_hazard(
 
     Newton's method on the hazard h, safeguarded by a bracket (`rtsafe`, Numerical
     Recipes 9.4). The par spread s(h) = LGD * D(h) / A(h) is strictly increasing
-    in h, so [0, 10] brackets every attainable quote and the check at h = 10 is
-    the attainability test. The first guess is quote / LGD. Each point prices s
-    on the pricers' grid, so the curve returned keeps its Q (_memo), and its
-    slope by dQ_k/dh = -(t_k - t0) Q_k; a step leaving the current bracket, or
-    a slope not finite and positive, falls back to the bracket's midpoint. Stops
-    when |s(h) - quote| < 1e-12 (capped at 200 points), returning the last point
-    evaluated; `iterations` counts the points after the check at h = 10.
+    in h, so [0, 10] brackets every attainable quote, and any point in it that
+    prices at or above the quote proves the quote attainable. Only a first point
+    that prices below it is followed by the check at h = 10, which raises
+    QuoteUnattainable when s(10) is below the quote too (a first point at h = 10
+    is its own check). The first guess is quote / LGD clipped to [0, 10]. Each
+    point prices s on the pricers' grid, so the curve returned keeps its Q
+    (_memo), and its slope by dQ_k/dh = -(t_k - t0) Q_k; a step leaving the
+    current bracket, or a slope not finite and positive, falls back to the
+    bracket's midpoint. Stops when |s(h) - quote| < 1e-12 (capped at 200 points),
+    returning the last point evaluated; `iterations` counts the Newton points,
+    not the check at h = 10.
     """
     from .pricers import _par_cds
 
@@ -360,6 +374,8 @@ def _calibrate_flat_hazard(
         raise ValueError("recovery must lie in [0, 1)")
     lgd = 1.0 - recovery
     grid = _grid(discount, None, schedule)
+    if not discount.t0 + 1.0 > discount.t0:  # the trial curves' node t0 + 1 must follow t0
+        raise ValueError("node times must be strictly increasing and after t0")
     # With tau_k = t_k - t0 and dQ_k/dh = -tau_k Q_k, the slopes of the default
     # leg D = sum of P_{k-1} (Q_{k-1} - Q_k) and of the annuity A are fixed
     # weights dotted with Q: dD/dh = sum of default_w_k Q_k, dA/dh = -sum of annuity_w_k Q_k.
@@ -369,19 +385,24 @@ def _calibrate_flat_hazard(
 
     def evaluate(hazard: float) -> tuple[SurvivalCurve, float, float]:
         """The curve at this hazard, its par spread s and ds/dh = (LGD dD/dh - s dA/dh) / A."""
-        curve = SurvivalCurve.flat(hazard, t0=discount.t0)
+        curve = SurvivalCurve._trial(hazard, discount.t0)
         g = _grid(discount, curve, schedule)
         par = _par_cds(g, recovery)
         slope = lgd * fsum(map(mul, default_w, g.q)) + par.spread * fsum(map(mul, annuity_w, g.q))
         return curve, par.spread, slope / par.annuity
 
     lo, hi = _HAZARD_BRACKET
-    if evaluate(hi)[1] - cds_quote < 0.0:
-        raise QuoteUnattainable(f"quote {cds_quote} exceeds the spread attainable at hazard {hi}")
-    hazard = min(max(cds_quote / lgd, lo), hi)
+    ceiling = hi
+    hazard = min(cds_quote / lgd, ceiling)  # at least 0: the quote is
     for iterations in range(1, _CALIBRATION_MAX_ITER + 1):
         curve, spread, slope = evaluate(hazard)
         residual = spread - cds_quote
+        if iterations == 1 and residual < 0.0 and (
+            hazard == ceiling or evaluate(ceiling)[1] - cds_quote < 0.0
+        ):
+            raise QuoteUnattainable(
+                f"quote {cds_quote} exceeds the spread attainable at hazard {ceiling}"
+            )
         if abs(residual) < _CALIBRATION_TOL:
             break
         if residual < 0.0:

@@ -50,6 +50,7 @@ from cdsreplica import (
 )
 from cdsreplica import curves, pricers, replication
 from cdsreplica.curves import _calibrate_flat_hazard
+import calibration_oracle
 from curve_oracle import exp_integrals
 from markets import random_discount, random_survival
 
@@ -366,6 +367,93 @@ class TestNewtonCalibration:
             calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, math.nan, 0.4)
 
 
+def _points(monkeypatch):
+    """Patch curves._exp_integrals to list the flat hazard of every survival evaluation."""
+    hazards = []
+    real = curves._exp_integrals
+
+    def counted(curve, t0, node_times, rates, times):
+        if curve == "survival":
+            hazards.append(rates[0])
+        return real(curve, t0, node_times, rates, times)
+
+    monkeypatch.setattr(curves, "_exp_integrals", counted)
+    return hazards
+
+
+class TestCheckAtTheCeiling:
+    """The fit evaluates h = 10 only after a first point that prices below the quote."""
+
+    @given(market=calibration_markets())
+    @settings(max_examples=150, deadline=None)
+    def test_the_fit_is_the_reference_fit_bit_for_bit(self, market):
+        # the reference checks h = 10 first and validates every point's curve
+        discount, schedule, hazard, recovery = market
+        quote = par_cds_spread(discount, SurvivalCurve.flat(hazard), schedule, recovery).spread
+        fit = _calibrate_flat_hazard(discount, schedule, quote, recovery)
+        reference = calibration_oracle.calibrate_flat_hazard(discount, schedule, quote, recovery)
+        assert fit.curve.hazards[0].hex() == reference.curve.hazards[0].hex()
+        assert fit.spread.hex() == reference.spread.hex()
+        assert fit.iterations == reference.iterations
+
+    def test_only_a_first_point_below_the_quote_is_followed_by_the_check(self, monkeypatch):
+        hazards = _points(monkeypatch)
+        rng = random.Random(28)
+        checked = 0
+        for _ in range(100):
+            schedule = build_schedule(0.0, rng.randint(1, 40) / 4, 4)
+            discount = DiscountCurve.flat(rng.uniform(-0.1, 0.05))  # below zero, s(q / LGD) < q
+            recovery = rng.uniform(0.0, 0.9)
+            quote = rng.uniform(1e-4, 0.05)
+            first = par_cds_spread(discount, SurvivalCurve.flat(quote / (1.0 - recovery)),
+                                   schedule, recovery).spread
+            hazards.clear()
+            fit = _calibrate_flat_hazard(discount, schedule, quote, recovery)
+            below = first < quote
+            assert len(hazards) == fit.iterations + below
+            assert hazards.count(10.0) == below
+            checked += below
+        assert 0 < checked < 100
+
+    def test_a_negative_rate_market_still_checks_h_10_once(self, monkeypatch):
+        # at -5% the first point, 0.01 / 0.6, prices below the quote
+        hazards = _points(monkeypatch)
+        fit = _calibrate_flat_hazard(DiscountCurve.flat(-0.05), build_schedule(0.0, 5.0, 1),
+                                     0.01, 0.4)
+        assert abs(fit.spread - 0.01) < 1e-12
+        assert len(hazards) == fit.iterations + 1 and hazards.count(10.0) == 1
+
+    def test_a_quote_past_the_ceiling_evaluates_h_10_once(self, monkeypatch):
+        # the first guess clips to 10, so the first point is the check
+        hazards = _points(monkeypatch)
+        with pytest.raises(QuoteUnattainable,
+                           match=r"^quote 20000\.0 exceeds the spread attainable at hazard 10\.0$"):
+            _calibrate_flat_hazard(DiscountCurve.flat(0.02), build_schedule(0.0, 5.0, 1),
+                                   20000.0, 0.4)
+        assert hazards == [10.0]
+
+    def test_a_numpy_quote_fits_the_curve_flat_builds(self):
+        dates = build_schedule(0.0, 5.0, 2).dates
+        for quote, t0 in ((np.float64(0.012), 0.0), (0.012, 0), (0.012, np.float64(0.0))):
+            fit = _calibrate_flat_hazard(DiscountCurve((1.0,), (0.02,), t0), Schedule(t0, dates),
+                                         quote, 0.4)
+            (hazard,) = fit.curve.hazards
+            assert type(hazard) is float and type(fit.curve.node_times[0]) is float
+            flat = SurvivalCurve.flat(hazard, t0)
+            assert fit.curve == flat and flat == fit.curve
+            assert (hash(fit.curve), repr(fit.curve)) == (hash(flat), repr(flat))
+            assert dataclasses.asdict(fit.curve) == dataclasses.asdict(flat)
+
+    def test_an_anchor_with_no_room_for_the_trial_node_is_rejected(self):
+        # at |t0| >= 2**53, t0 + 1 == t0: no flat curve has a node after t0
+        t0 = 2.0**53
+        discount = DiscountCurve((t0 + 4.0,), (0.02,), t0)
+        with pytest.raises(ValueError, match="strictly increasing and after t0"):
+            SurvivalCurve.flat(0.02, t0)
+        with pytest.raises(ValueError, match="strictly increasing and after t0"):
+            _calibrate_flat_hazard(discount, Schedule(t0, (t0 + 2.0, t0 + 4.0)), 0.012, 0.4)
+
+
 ORACLE_NODES = (0.75, 2.5, 6.0, 14.0)
 ORACLE_RATES = (0.012, -0.021, 0.028, 0.034)
 
@@ -505,7 +593,7 @@ def test_a_calibrated_market_evaluates_q_only_at_the_fits_points(monkeypatch):
     g = build_schedule(0.0, 10.0, 4)
     bond, repo_maturity = BondSpec(0.05, 0.4), 6.0
     fit = curves._calibrate_flat_hazard(d, g, 0.012, bond.recovery)
-    assert counts == {"discount": 1, "survival": fit.iterations + 1}  # the check at h = 10 too
+    assert counts == {"discount": 1, "survival": fit.iterations}
     s = fit.curve
     assert par_cds_spread(d, s, g, bond.recovery).spread == fit.spread
     price_sheet(d, s, g, bond, RepoSpec(0.001, repo_maturity))
@@ -521,7 +609,7 @@ def test_a_calibrated_market_evaluates_q_only_at_the_fits_points(monkeypatch):
     par_cancelable_asw_spread_generalized(d, s, g, bond, repo_maturity, fwd)
     replication_report(d, s, g, bond, RepoSpec(0.001), True)
     mc_check(d, s, g, bond, RepoSpec(0.001), True, 1000, 0)
-    assert counts == {"discount": 1, "survival": fit.iterations + 1}
+    assert counts == {"discount": 1, "survival": fit.iterations}
 
 
 def test_equal_but_distinct_objects_are_each_evaluated(monkeypatch):
