@@ -241,8 +241,9 @@ class _Grid(NamedTuple):
 
     def kept(self, derive, key=None):
         """derive(self, key), computed on first use and read from sums after that: one
-        (key, value) entry per derive, which another key (_same) replaces, so sums stays
-        bounded. An entry is stored whole, so threads sharing the grid only derive twice."""
+        (key, value) entry per derive, which another key (_same: a tuple part by part)
+        replaces, so sums stays bounded. An entry is stored whole, so threads sharing the
+        grid only derive twice; a derive that raises stores nothing."""
         entry = self.sums.get(derive)
         if entry is None or not _same(entry[0], key):
             entry = self.sums[derive] = key, derive(self, key)
@@ -251,7 +252,11 @@ class _Grid(NamedTuple):
 
 def _same(stored, given) -> bool:
     """given is the stored key, or one of its type with the same repr: equal field for
-    field in type and bits, which == is not (0.0 == -0.0, 1 == 1.0, float32(0.5) == 0.5)."""
+    field in type and bits, which == is not (0.0 == -0.0, 1 == 1.0, float32(0.5) == 0.5).
+    A tuple is compared part by part, identity first, so a part passed again as the very
+    object stored (a schedule) is never repr'd."""
+    if stored is not given and type(stored) is type(given) is tuple:
+        return len(stored) == len(given) and all(map(_same, stored, given))
     return stored is given or (type(stored) is type(given) and repr(stored) == repr(given))
 
 

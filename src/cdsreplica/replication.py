@@ -46,7 +46,6 @@ from .curves import (
     SurvivalCurve,
     _Grid,
     _grid,
-    _same,
     default_distribution,
     fsum,
 )
@@ -349,33 +348,13 @@ def _cashflow_table(
     )
 
 
-# The last evaluation of _table_and_residuals: ((P, Q, schedule, clause, bond, repo),
-# (table, residuals)), one slot, replaced whole, as curves._memo keeps a curve's values.
-_last_table = None
-
-
-def _table_and_residuals(
-    g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool,
-) -> tuple[_CashflowTable, tuple[float, ...]]:
-    """The market's cashflow table at par spreads and its N + 1 residuals, kept as the
-    last evaluation, so a report followed by mc_check on one market builds them once.
-
-    A call hits only when g's P and Q and the schedule are the very objects stored
-    (the curves' memoized tuples on that schedule, so identity pins both curves),
-    the clause is equal, and bond and repo are the same specs (_same). An
-    evaluation that raises stores nothing; a race between threads only evaluates twice.
-    """
-    global _last_table
-    last = _last_table
-    if last is not None:
-        (p, q, stored_schedule, clause, stored_bond, stored_repo), value = last
-        if (p is g.p and q is g.q and stored_schedule is schedule and clause == clause_enabled
-                and _same(stored_bond, bond) and _same(stored_repo, repo)):
-            return value
+def _par_table(g: _Grid, key) -> tuple[_CashflowTable, tuple[float, ...]]:
+    """The market's cashflow table at par spreads and its N + 1 residuals, for
+    key = (schedule, clause_enabled, bond, repo); kept on g (_Grid.kept), so a report
+    followed by mc_check on one market builds them once, and they die with its curves."""
+    schedule, clause_enabled, bond, repo = key
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled, g.p)
-    value = table, tuple(table.residuals())
-    _last_table = (g.p, g.q, schedule, clause_enabled, bond, repo), value
-    return value
+    return table, tuple(table.residuals())
 
 
 def portfolio_ledger(
@@ -422,7 +401,7 @@ def replication_report(
     survival ledger.
     """
     g = _grid(discount, survival, schedule)
-    table, residuals = _table_and_residuals(g, schedule, bond, repo, clause_enabled)
+    table, residuals = g.kept(_par_table, (schedule, clause_enabled, bond, repo))
     buckets, probabilities = g.kept(_grid_buckets)
     # a list, not a map: tuple() of a map resizes its result, and the sizes it frees then
     # fill the interpreter's tuple free lists (about 4 MB more RSS over 1e5 reports)
@@ -469,8 +448,8 @@ def mc_check(
     key, and n_paths lies in [1000, 10**8]; each must be an integer (_is_integer),
     else ConfigError. The draw costs O(N), flat in n_paths, and the moments are two
     O(N) dot products of the counts with the N + 1 residuals of the market's
-    cashflow table, which a report on the same market has already built
-    (_table_and_residuals).
+    cashflow table, kept on the grid (_par_table), so that a report on the same
+    market, deal and clause has already built them.
     numpy is imported here, so that pricing and the enumerated report never load it.
     """
     import numpy as np
@@ -483,7 +462,7 @@ def mc_check(
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     g = _grid(discount, survival, schedule)
-    residuals = _table_and_residuals(g, schedule, bond, repo, clause_enabled)[1]
+    residuals = g.kept(_par_table, (schedule, clause_enabled, bond, repo))[1]
     residuals = np.fromiter(residuals, float, len(residuals))
     probabilities = g.kept(_grid_buckets)[1]
     generator = np.random.Generator(np.random.Philox(key=seed))

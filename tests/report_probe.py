@@ -9,11 +9,13 @@ on odd ones. A child builds the benchmark's N-sweep market (`bench/probes.py`: 4
 discount nodes, 3 hazard nodes, a 5% bond at 40% recovery, quarterly payments) on
 grids of N = 5, 40, 120 and 360 periods, with a repo to maturity at a 10 bp spread,
 and times K calls of each of these, cycling through the sizes:
-- `report`: `replication_report` with the clause on, the table built (the kept last
-  table is cleared before each call);
+- `report`: `replication_report` with the clause on, the table built (the table's
+  entry is popped from the market's grid, `_Grid.kept`, before each timed call; the
+  grid's other sums stay kept);
 - `report_no_clause`: the same with the clause off;
 - `mc_check`: `mc_check` at 100,000 paths and seed 0, after a report on the market,
   so that it reuses that report's table.
+Both checkouts must keep the table on the grid (`replication._par_table`).
 It prints one JSON line per root (PARENT's first), the median over rounds of each
 round's median in µs, and a last line with each change/parent ratio and the number
 of rounds in which the change was faster. Only the standard library is used here; the
@@ -36,6 +38,7 @@ CHILD = """
 import json, statistics, sys
 from time import perf_counter_ns
 import cdsreplica.replication as replication
+from cdsreplica.curves import _grid
 from cdsreplica import (BondSpec, DiscountCurve, RepoSpec, SurvivalCurve, build_schedule,
                         mc_check, replication_report)
 reps, sizes = int(sys.argv[1]), json.loads(sys.argv[2])
@@ -45,7 +48,7 @@ bond, repo = BondSpec(coupon=0.05, recovery=0.4), RepoSpec(spread=0.001)
 markets = {n: (discount, survival, build_schedule(0.0, n / 4, 4), bond, repo) for n in sizes}
 
 def report(market, clause):
-    replication._last_table = None
+    _grid(*market[:3]).sums.pop(replication._par_table, None)
     start = perf_counter_ns()
     replication_report(*market, clause)
     return perf_counter_ns() - start

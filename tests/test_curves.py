@@ -760,11 +760,12 @@ class TestGridMemo:
         grid, riskless = curves._grid(d, s, g), curves._grid(d, None, g)
         assert set(grid.sums) == {curves._riskless, pricers._annuity, pricers._default_leg,
                                   pricers._floater_coupons, pricers._bond_coupons,
-                                  replication._grid_buckets}
+                                  replication._grid_buckets, replication._par_table}
         assert set(riskless.sums) == {pricers._annuity, pricers._default_leg,
                                       pricers._bond_coupons}
         assert grid.sums[pricers._bond_coupons][0] == riskless.sums[pricers._bond_coupons][0]
         assert grid.sums[pricers._bond_coupons][0] == 0.001 * 99  # the last bond priced
+        assert grid.sums[replication._par_table][0][2] == BondSpec(0.001 * 99, 0.4)
 
     def test_threads_pricing_markets_that_evict_each_other_keep_their_bits(self):
         # four threads share two curves on two schedules and price a bond each, so the

@@ -20,6 +20,7 @@ from cdsreplica import (
     NonFiniteResult,
     PricingError,
     RepoSpec,
+    Schedule,
     SurvivalCurve,
     annuity_defaultable,
     build_schedule,
@@ -562,7 +563,7 @@ class TestMcHandOff:
             def failing(*args):
                 raise error
 
-            monkeypatch.setattr(replication, "_table_and_residuals", failing)
+            monkeypatch.setattr(replication, "_par_table", failing)
         else:  # the real clause-off early repo, which the table refuses
             repo = RepoSpec(spread=0.001, maturity=3.0)
         with pytest.raises(PricingError) as raised:
@@ -574,8 +575,8 @@ class TestMcHandOff:
         assert draws == []
 
     def test_concurrent_calls_keep_their_bits(self, f1):
-        # more callers than cores, each with its own worker and locks, on markets that
-        # evict each other from the one-slot table memo, under a short switch interval
+        # more callers than cores, on markets that share one grid and evict each other
+        # from its one table entry (_Grid.kept), under a short switch interval
         markets = [(f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread), clause)
                    for spread in (0.001, 0.002) for clause in (True, False)]
         expected = [mc_check(*market, 5000, 9) for market in markets]
@@ -599,11 +600,12 @@ class TestMcHandOff:
 
 
 class TestTableMemo:
-    """A report followed by mc_check on one market builds the cashflow table once."""
+    """A report followed by mc_check on one market builds the cashflow table once: the
+    table is kept on the market's grid, beside its other sums (_Grid.kept)."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
-        """Calls of _cashflow_table, from an empty memo."""
+        """Calls of _cashflow_table; every test's f1 has fresh curves, so an empty grid."""
         calls = []
         real = replication._cashflow_table
 
@@ -611,7 +613,6 @@ class TestTableMemo:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(replication, "_last_table", None)
         monkeypatch.setattr(replication, "_cashflow_table", counted)
         return calls
 
@@ -621,13 +622,40 @@ class TestTableMemo:
         mc_check(*market, RepoSpec(spread=0.001), True, 2000, seed=5)  # an equal, fresh repo
         assert len(tables) == 1
 
-    def test_mc_check_bits_do_not_depend_on_a_prior_report(self, f1, monkeypatch):
-        market = f1.discount, f1.survival, f1.schedule, f1.bond, RepoSpec(spread=0.001), False
-        monkeypatch.setattr(replication, "_last_table", None)
-        alone = mc_check(*market, 20_000, seed=42)
-        monkeypatch.setattr(replication, "_last_table", None)
-        replication_report(*market)
-        after_report = mc_check(*market, 20_000, seed=42)
+    def test_interleaved_markets_each_keep_their_table(self, f1, tables):
+        # two markets' reports, then their mc_checks: each grid holds its own table
+        markets = [(f1.discount, f1.survival, f1.schedule, f1.bond),
+                   (f1.discount, SurvivalCurve.flat(0.03), f1.schedule, f1.bond)]
+        for market in markets:
+            replication_report(*market, RepoSpec(spread=0.001), True)
+        for market in markets:
+            mc_check(*market, RepoSpec(spread=0.001), True, 2000, seed=5)
+        assert len(tables) == 2
+
+    def test_a_kept_table_is_found_without_repr_of_the_schedule(self, monkeypatch, tables):
+        # the key's schedule is matched by identity: its repr costs O(N), about as much
+        # as a book-long op, so a key compared by repr must not reach it
+        def refused(self):
+            raise AssertionError("the table key's schedule was repr'd")
+
+        schedule = build_schedule(0.0, 30.0, 12)
+        assert schedule.n_periods == 360
+        market = (DiscountCurve.flat(0.02), SurvivalCurve.flat(0.02), schedule,
+                  BondSpec(coupon=0.05, recovery=0.4))
+        monkeypatch.setattr(Schedule, "__repr__", refused)
+        replication_report(*market, RepoSpec(spread=0.001), True)
+        result = mc_check(*market, RepoSpec(spread=0.001), True, 2000, seed=5)
+        assert len(tables) == 1 and math.isfinite(result.estimate)
+
+    def test_mc_check_bits_do_not_depend_on_a_prior_report(self, f1):
+        def market():  # fresh curves each time: a grid that keeps no table yet
+            return (DiscountCurve.flat(f1.r), SurvivalCurve.flat(f1.hazard), f1.schedule,
+                    f1.bond, RepoSpec(spread=0.001), False)
+
+        alone = mc_check(*market(), 20_000, seed=42)
+        after = market()
+        replication_report(*after)
+        after_report = mc_check(*after, 20_000, seed=42)
         assert repr(after_report) == repr(alone)
 
     @pytest.mark.parametrize(
@@ -660,12 +688,13 @@ class TestTableMemo:
     def test_an_evaluation_that_raises_stores_nothing(self, f1, tables):
         market = f1.discount, f1.survival, f1.schedule, f1.bond
         replication_report(*market, RepoSpec(spread=0.001), True)
-        stored = replication._last_table
+        sums = _grid(*market[:3]).sums
+        stored = sums[replication._par_table]
         early = RepoSpec(spread=0.001, maturity=3.0)
         for _ in range(2):  # no clause with an early repo: nothing to store, both times
             with pytest.raises(InconsistentSpecs):
                 replication_report(*market, early, False)
-        assert replication._last_table is stored
+        assert sums[replication._par_table] is stored
         assert len(tables) == 3
 
 
@@ -820,8 +849,7 @@ def test_report_residuals_take_the_batched_pass(monkeypatch):
         raise AssertionError("the report fell back to _exact_parts")
 
     monkeypatch.setattr(replication, "_exact_parts", refused)
-    monkeypatch.setattr(replication, "_last_table", None)
-    test_report_residuals_are_the_ledger_residuals_exactly()
+    test_report_residuals_are_the_ledger_residuals_exactly()  # fresh curves: tables built
 
 
 def test_a_market_that_fails_the_proof_keeps_its_bits(monkeypatch):
@@ -835,9 +863,8 @@ def test_a_market_that_fails_the_proof_keeps_its_bits(monkeypatch):
     schedule = build_schedule(0.0, 2.5, 4)
     bond = BondSpec(0.04818646440472815, 0.7687255450544161)
     repo = RepoSpec(0.017301822112460126, maturity=1.25)
-    table, residuals = replication._table_and_residuals(
-        _grid(discount, survival, schedule), schedule, bond, repo, True
-    )
+    g = _grid(discount, survival, schedule)
+    table, residuals = g.kept(replication._par_table, (schedule, True, bond, repo))
     assert calls
     assert [r.hex() for r in residuals] == [r.hex() for r in _slice_sums(table)]
 
@@ -909,7 +936,5 @@ def test_each_residual_is_the_fsum_of_its_slice(seed, periods, frequency, deal):
     if deal == "early" and periods > 1:
         repo = RepoSpec(repo.spread, maturity=schedule.dates[rng.randrange(periods - 1)])
     g = _grid(discount, survival, schedule)
-    table, residuals = replication._table_and_residuals(
-        g, schedule, bond, repo, deal != "no-clause"
-    )
+    table, residuals = g.kept(replication._par_table, (schedule, deal != "no-clause", bond, repo))
     assert [r.hex() for r in residuals] == [r.hex() for r in _slice_sums(table)]
