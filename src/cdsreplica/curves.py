@@ -28,7 +28,7 @@ from .errors import (
     QuoteUnattainable,
     TimeBeforeAnchor,
 )
-from .schedule import Schedule, _is_real, _real, _reals
+from .schedule import Schedule, _real, _reals
 
 __all__ = [
     "DefaultDistribution",
@@ -55,6 +55,8 @@ def fsum(values: Iterable[float]) -> float:
 
 
 def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[float, ...]) -> None:
+    if not math.isfinite(t0):
+        raise ValueError("t0 must be finite")
     if not node_times:
         raise ValueError("curve needs at least one node")
     if len(node_times) != len(rates):
@@ -64,9 +66,8 @@ def _validate_segments(t0: float, node_times: tuple[float, ...], rates: tuple[fl
         if not node > prev:  # also rejects NaN
             raise ValueError("node times must be strictly increasing and after t0")
         prev = node
-    for r in rates:
-        if not math.isfinite(r):
-            raise ValueError("rates must be finite")
+    if not all(map(math.isfinite, rates)):
+        raise ValueError("rates must be finite")
 
 
 def _exp_integrals(
@@ -133,7 +134,7 @@ def _memo(curve, schedule: Schedule, evaluate):
 class DiscountCurve:
     """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate).
 
-    t0, node times, rates and every time queried must be numbers (_is_real), else ValueError.
+    t0, node times, rates and every time queried must be numbers (_real), else ConfigError.
     """
 
     node_times: tuple[float, ...]
@@ -141,7 +142,7 @@ class DiscountCurve:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        _real("t0", self.t0)
+        object.__setattr__(self, "t0", _real("t0", self.t0))
         object.__setattr__(self, "node_times", _reals("node_times", self.node_times))
         object.__setattr__(self, "fwd_rates", _reals("fwd_rates", self.fwd_rates))
         _validate_segments(self.t0, self.node_times, self.fwd_rates)
@@ -163,7 +164,8 @@ class DiscountCurve:
 
     def forward_rate(self, t_start: float, t_end: float) -> float:
         """Simple-compounded forward rate over (t_start, t_end]: the model's floating fixing."""
-        if not _real("t_start", t_start) < _real("t_end", t_end):  # also rejects NaN
+        t_start, t_end = _real("t_start", t_start), _real("t_end", t_end)
+        if not t_start < t_end:  # also rejects NaN
             raise InvalidInterval(f"need t_start < t_end, got ({t_start}, {t_end})")
         p_start, p_end = self._at((t_start, t_end))
         return (p_start / p_end - 1.0) / (t_end - t_start)
@@ -173,7 +175,7 @@ class DiscountCurve:
 class SurvivalCurve:
     """Issuer survival curve Q(t0, t) = exp(-integral of the hazard rate).
 
-    t0, node times, hazards and every time queried must be numbers (_is_real), else ValueError.
+    t0, node times, hazards and every time queried must be numbers (_real), else ConfigError.
     """
 
     node_times: tuple[float, ...]
@@ -181,7 +183,7 @@ class SurvivalCurve:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        _real("t0", self.t0)
+        object.__setattr__(self, "t0", _real("t0", self.t0))
         object.__setattr__(self, "node_times", _reals("node_times", self.node_times))
         object.__setattr__(self, "hazards", _reals("hazards", self.hazards))
         _validate_segments(self.t0, self.node_times, self.hazards)
@@ -195,10 +197,10 @@ class SurvivalCurve:
     @classmethod
     def _trial(cls, hazard: float, t0: float) -> "SurvivalCurve":
         """flat(hazard, t0) without its checks, for the fit's points alone: the fit checks
-        its inputs once, and each hazard it tries is a number in its bracket."""
+        its inputs once, and t0 (the discount curve's) and each hazard it tries are floats."""
         curve = object.__new__(cls)
-        object.__setattr__(curve, "node_times", (float(t0 + 1.0),))
-        object.__setattr__(curve, "hazards", (float(hazard),))
+        object.__setattr__(curve, "node_times", (t0 + 1.0,))
+        object.__setattr__(curve, "hazards", (hazard,))
         object.__setattr__(curve, "t0", t0)
         return curve
 
@@ -251,10 +253,10 @@ class _Grid(NamedTuple):
 
 
 def _same(stored, given) -> bool:
-    """given is the stored key, or one of its type with the same repr: equal field for
-    field in type and bits, which == is not (0.0 == -0.0, 1 == 1.0, float32(0.5) == 0.5).
-    A tuple is compared part by part, identity first, so a part passed again as the very
-    object stored (a schedule) is never repr'd."""
+    """given is the stored key, or one of its type with the same repr: equal field for field
+    in type and bits, which == is not (0.0 == -0.0; the specs keep floats, so an int or a
+    float32 never reaches a key). A tuple is compared part by part, identity first, so a
+    part passed again as the very object stored (a schedule) is never repr'd."""
     if stored is not given and type(stored) is type(given) is tuple:
         return len(stored) == len(given) and all(map(_same, stored, given))
     return stored is given or (type(stored) is type(given) and repr(stored) == repr(given))
@@ -309,7 +311,7 @@ def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Sch
 
 @dataclass(frozen=True)
 class DefaultDistribution:
-    """Law of the default time restricted to the payment grid.
+    """Law of the default time restricted to the payment grid, as floats (_real).
 
     bucket_probs[k-1] is the probability of default in (t_{k-1}, t_k],
     effective immediately before the payment date t_k; survival_prob is the
@@ -320,7 +322,8 @@ class DefaultDistribution:
     survival_prob: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bucket_probs", tuple([float(p) for p in self.bucket_probs]))
+        object.__setattr__(self, "bucket_probs", _reals("bucket probabilities", self.bucket_probs))
+        object.__setattr__(self, "survival_prob", _real("survival probability", self.survival_prob))
         if not all(p >= 0.0 for p in self.bucket_probs):  # also rejects NaN
             raise ValueError("bucket probabilities must be non-negative")
         if not 0.0 <= self.survival_prob <= 1.0:
@@ -373,9 +376,10 @@ def _calibrate_flat_hazard(
     """
     from .pricers import _par_cds
 
-    if not (_is_real(cds_quote) and cds_quote >= 0.0):
+    cds_quote, recovery = _real("cds quote", cds_quote), _real("recovery", recovery)
+    if not cds_quote >= 0.0:
         raise ValueError("cds quote must be non-negative")
-    if not (_is_real(recovery) and 0.0 <= recovery < 1.0):
+    if not 0.0 <= recovery < 1.0:
         raise ValueError("recovery must lie in [0, 1)")
     lgd = 1.0 - recovery
     grid = _grid(discount, None, schedule)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, _riskless, fsum
 from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
-from .schedule import Schedule, _is_real, _real
+from .schedule import Schedule, _real
 
 __all__ = [
     "BondSpec",
@@ -63,15 +63,16 @@ _MAX_PAR_SPREAD = 1e6
 
 @dataclass(frozen=True)
 class BondSpec:
-    """Fixed-coupon bullet bond of the defaultable issuer, unit notional."""
+    """Fixed-coupon bullet bond of the defaultable issuer, unit notional; two floats (_real)."""
 
     coupon: float
     recovery: float
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.coupon) and math.isfinite(self.coupon)):
+        object.__setattr__(self, "coupon", _real("coupon", self.coupon))
+        if not math.isfinite(self.coupon):
             raise ValueError("coupon must be a finite number")
-        _recovery(self.recovery)
+        object.__setattr__(self, "recovery", _recovery(self.recovery))
 
     @property
     def lgd(self) -> float:
@@ -82,9 +83,9 @@ class BondSpec:
 class RepoSpec:
     """Financing terms: periodic floating + spread against the bond, unit notional.
 
-    maturity None means repo to maturity (the bond's last payment date);
-    forward_price None means the fair value (1 at the bond's maturity, the
-    survival-conditional forward bond price before it).
+    Each field is a float (_real); maturity None means repo to maturity (the bond's
+    last payment date), forward_price None the fair value (1 at the bond's maturity,
+    the survival-conditional forward bond price before it).
     """
 
     spread: float
@@ -92,11 +93,12 @@ class RepoSpec:
     forward_price: float | None = None
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.spread) and math.isfinite(self.spread)):
-            raise ValueError("repo spread must be a finite number")
-        for name, value in (("maturity", self.maturity), ("forward price", self.forward_price)):
-            if value is not None and not (_is_real(value) and math.isfinite(value)):
-                raise ValueError(f"repo {name} must be a finite number")
+        for field in ("spread", "maturity", "forward_price"):
+            name, value = "repo " + field.replace("_", " "), getattr(self, field)
+            if value is not None or field == "spread":
+                object.__setattr__(self, field, _real(name, value))
+                if not math.isfinite(getattr(self, field)):
+                    raise ValueError(f"{name} must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,9 @@ class ImpliedRepoSpreads(NamedTuple):
 
 
 def _recovery(recovery: float) -> float:
-    """recovery itself, if it is a number (_is_real) in [0, 1], else ValueError; for every
-    pricer that takes one."""
-    if not (_is_real(recovery) and 0.0 <= recovery <= 1.0):  # also rejects NaN
+    """recovery as a float (_real) in [0, 1], else ValueError; for every pricer that takes one."""
+    recovery = _real("recovery", recovery)
+    if not 0.0 <= recovery <= 1.0:  # also rejects NaN
         raise ValueError("recovery must lie in [0, 1]")
     return recovery
 
@@ -254,7 +256,7 @@ def _repo_on_grid(
 
 def price_riskfree_bond(discount: DiscountCurve, schedule: Schedule, coupon: float) -> float:
     """Sum of c * theta_k * P(t_k) plus P(t_N)."""
-    _real("coupon", coupon)
+    coupon = _real("coupon", coupon)
     g = _grid(discount, None, schedule)
     price = _note(g, g.kept(_bond_coupons, coupon), 0.0)
     return _finite("risk-free bond price", price)
@@ -347,7 +349,7 @@ def standard_asw_pv(
     The swap runs to t_N regardless of default; the upfront is the
     pull-to-par of the bond.
     """
-    _real("spread", spread)
+    spread = _real("spread", spread)
     g = _grid(discount, survival, schedule)
     pv = fsum(_swap_payments(g, bond.coupon, spread)) + (_risky_bond(g, bond) - 1.0)
     return _finite("standard asset swap PV", pv)
@@ -361,7 +363,7 @@ def cancelable_asw_pv(
     spread: float,
 ) -> float:
     """Holder PV of the break-clause asset swap: payments gated on survival."""
-    _real("spread", spread)
+    spread = _real("spread", spread)
     g = _grid(discount, survival, schedule)
     payments = _swap_payments(g, bond.coupon, spread)
     pv = fsum([pay * q for pay, q in zip(payments, g.q[1:])]) + (_risky_bond(g, bond) - 1.0)
@@ -376,7 +378,7 @@ def mtm_profile(
     Deterministic rates make the conditional expectation a plain discounted
     tail sum: values[k-1] = sum over h >= k of (-c + eps + s) * theta_h * P(t_k, t_h).
     """
-    _real("spread", spread)
+    spread = _real("spread", spread)
     values = tuple(_mtm_values(_grid(discount, None, schedule), bond.coupon, spread))
     for k, value in enumerate(values, start=1):
         if not math.isfinite(value):
@@ -399,7 +401,7 @@ def early_termination_pv(
     forfeited with the probability of a default at or before it:
     -sum of pay_k * (Q(t0) - Q(t_k)).
     """
-    _real("spread", spread)
+    spread = _real("spread", spread)
     etp = _early_termination(_grid(discount, survival, schedule), bond.coupon, spread)
     return _finite("early termination PV", etp)
 
@@ -480,9 +482,8 @@ def implied_repo_spreads(
     cds_bid: float, cds_ask: float, aswc_bid: float, aswc_ask: float
 ) -> ImpliedRepoSpreads:
     """Repo and reverse-repo spreads implied by CDS and break-clause ASW quotes."""
-    for name, quote in (("cds_bid", cds_bid), ("cds_ask", cds_ask),
-                        ("aswc_bid", aswc_bid), ("aswc_ask", aswc_ask)):
-        _real(name, quote)
+    cds_bid, cds_ask = _real("cds_bid", cds_bid), _real("cds_ask", cds_ask)
+    aswc_bid, aswc_ask = _real("aswc_bid", aswc_bid), _real("aswc_ask", aswc_ask)
     if cds_bid > cds_ask:
         raise CrossedMarket(f"cds bid {cds_bid} exceeds ask {cds_ask}")
     if aswc_bid > aswc_ask:

@@ -60,7 +60,7 @@ from .pricers import (
     _repo_on_grid,
     _risky_bond,
 )
-from .schedule import Schedule, _is_integer
+from .schedule import Schedule, _is_integer, _real
 
 __all__ = [
     "CashflowEntry",
@@ -348,6 +348,13 @@ def _cashflow_table(
     )
 
 
+def _clause(clause_enabled: bool) -> bool:
+    """clause_enabled itself, if it is a bool, else ConfigError: a truthy "no" would run it."""
+    if type(clause_enabled) is not bool:
+        raise ConfigError(f"clause_enabled must be a bool, got {type(clause_enabled).__name__}")
+    return clause_enabled
+
+
 def _par_table(g: _Grid, key) -> tuple[_CashflowTable, tuple[float, ...]]:
     """The market's cashflow table at par spreads and its N + 1 residuals, for
     key = (schedule, clause_enabled, bond, repo); kept on g (_Grid.kept), so a report
@@ -370,12 +377,13 @@ def portfolio_ledger(
 ) -> CashflowLedger:
     """Materialize every cashflow of the replica and the CDS for one scenario.
 
-    The asset swap and the CDS mature with the repo; a default after the repo
-    maturity never touches the (already unwound) portfolio. The scenario's
-    bucket is None (survival) or an integer in 1..N, else InconsistentSpecs.
+    The asset swap and the CDS mature with the repo; a default after the repo ends never touches
+    the (already unwound) portfolio. The scenario's bucket is None (survival) or an integer in
+    1..N, else InconsistentSpecs; spreads are numbers, clause_enabled a bool, else ConfigError.
     """
+    spreads = _real("asw_spread", asw_spread), _real("cds_spread", cds_spread)
+    clause_enabled = _clause(clause_enabled)
     g = _grid(discount, survival, schedule)
-    spreads = asw_spread, cds_spread
     table = _cashflow_table(g, schedule, bond, repo, clause_enabled, [1.0] * len(g.p), spreads)
     return CashflowLedger(entries=table.entries(scenario.default_bucket))
 
@@ -398,10 +406,10 @@ def replication_report(
 
     Each residual is the correctly rounded exact sum of its scenario's slice
     of the market's cashflow table; a default after the repo ends sees the
-    survival ledger.
+    survival ledger. clause_enabled must be a bool, else ConfigError.
     """
     g = _grid(discount, survival, schedule)
-    table, residuals = g.kept(_par_table, (schedule, clause_enabled, bond, repo))
+    table, residuals = g.kept(_par_table, (schedule, _clause(clause_enabled), bond, repo))
     buckets, probabilities = g.kept(_grid_buckets)
     # a list, not a map: tuple() of a map resizes its result, and the sizes it frees then
     # fill the interpreter's tuple free lists (about 4 MB more RSS over 1e5 reports)
@@ -446,10 +454,10 @@ def mc_check(
     counter-based generator (Philox keyed on the seed), so the result is a pure
     function of the market, n_paths and the seed. The seed is the 128-bit Philox
     key, and n_paths lies in [1000, 10**8]; each must be an integer (_is_integer),
-    else ConfigError. The draw costs O(N), flat in n_paths, and the moments are two
-    O(N) dot products of the counts with the N + 1 residuals of the market's
-    cashflow table, kept on the grid (_par_table), so that a report on the same
-    market, deal and clause has already built them.
+    and clause_enabled a bool, else ConfigError. The draw costs O(N), flat in
+    n_paths, and the moments are two O(N) dot products of the counts with the
+    N + 1 residuals of the market's cashflow table, kept on the grid (_par_table),
+    so that a report on the same market, deal and clause has already built them.
     numpy is imported here, so that pricing and the enumerated report never load it.
     """
     import numpy as np
@@ -462,7 +470,7 @@ def mc_check(
     if not 0 <= seed < 2**128:
         raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
     g = _grid(discount, survival, schedule)
-    residuals = g.kept(_par_table, (schedule, clause_enabled, bond, repo))[1]
+    residuals = g.kept(_par_table, (schedule, _clause(clause_enabled), bond, repo))[1]
     residuals = np.fromiter(residuals, float, len(residuals))
     probabilities = g.kept(_grid_buckets)[1]
     generator = np.random.Generator(np.random.Philox(key=seed))

@@ -34,46 +34,44 @@ def _is_integer(value) -> bool:
     return not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A number, not a bool: a value whose type has __float__, which text lacks, and is not
-    named bool, which refuses Python's bool and numpy's (`numpy.bool`, `numpy.bool_` before
-    numpy 2) without importing numpy. Other numpy scalars pass; numbers.Real would cost
-    every CLI start an import."""
-    return _is_real_type(type(value))
-
-
 def _is_real_type(kind: type) -> bool:
-    """_is_real's rule on a type: every value of the type passes it or none does."""
+    """A number's type: it has __float__, which text lacks, and is not named bool or bool_
+    (numpy's, before numpy 2) without importing numpy; numbers.Real costs every CLI an import."""
     return hasattr(kind, "__float__") and kind.__name__ not in ("bool", "bool_")
 
 
-def _real(name: str, value):
-    """value itself, if it is a number (_is_real), else ValueError naming it."""
+def _real(name: str, value) -> float:
+    """value as a float, if it is a number (_is_real_type), else ConfigError naming it; a float
+    is returned at once; a number too large for a float raises ConfigError, not OverflowError."""
+    if type(value) is float:
+        return value
     if not _is_real_type(type(value)):
-        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
-    return value
+        raise ConfigError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def _reals(name: str, values) -> tuple[float, ...]:
-    """The values as floats, if each is a number (_is_real), else ValueError naming them.
-    The rule is checked once per distinct type, not once per value, and values that are
-    all floats already are kept as they are: together that costs what float() on each did."""
+    """The values as floats (_real), else ConfigError naming them. The type rule is checked
+    once per distinct type, and values that are all floats already are kept as they are."""
     values = tuple(values)
     kinds = set(map(type, values))
     if kinds == {float}:
         return values
     for kind in kinds:
         if not _is_real_type(kind):
-            raise ValueError(f"{name} must be numbers, got {kind.__name__}")
-    return tuple(map(float, values))
+            raise ConfigError(f"{name} must be numbers, got {kind.__name__}")
+    return tuple([_real(name, value) for value in values])
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Payment dates t_1 < ... < t_N with accruals theta_k = t_k - t_{k-1}.
 
-    t0 and the dates must be numbers (_is_real), else ValueError; the dates are
-    kept as floats. The accruals are derived from the dates. Immutable after
+    t0 and the dates must be numbers (_real), else ConfigError; they are kept as
+    floats. The accruals are derived from the dates. Immutable after
     construction; safe to share across threads.
     """
 
@@ -82,7 +80,7 @@ class Schedule:
     accruals: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        _real("schedule t0", self.t0)
+        object.__setattr__(self, "t0", _real("schedule t0", self.t0))
         dates = _reals("schedule dates", self.dates)
         if not dates:
             raise ValueError("schedule needs at least one payment date")
@@ -111,12 +109,13 @@ class Schedule:
         return self.dates[-1]
 
     def index_at(self, t: float) -> int:
-        """0-based index of the first payment date equal to t (within 1e-9).
+        """0-based index of the first payment date equal to t (within 1e-9), a number (_real).
 
         Bisection skips the dates below t - 2e-9, which rounding cannot bring
         within 1e-9 of t; the scan from there stops at the first date within
         the tolerance, or at the first date past t.
         """
+        t = _real("t", t)
         for i in range(bisect_left(self.dates, t - 2 * _GRID_TOL), len(self.dates)):
             if abs(self.dates[i] - t) <= _GRID_TOL:
                 return i
@@ -128,15 +127,13 @@ class Schedule:
 def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
     """Build a regular grid with `frequency` payments per year.
 
-    frequency must be an integer (_is_integer), and t0 and maturity numbers (_is_real).
+    frequency must be an integer (_is_integer), and t0 and maturity numbers (_real).
     (maturity - t0) * frequency must be a finite integer (within 1e-9), at
     most _MAX_PERIODS; both are checked before any date is built.
     """
     if not _is_integer(frequency) or frequency not in VALID_FREQUENCIES:
         raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency}")
-    for name, value in (("t0", t0), ("maturity", maturity)):
-        if not _is_real(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+    t0, maturity = _real("t0", t0), _real("maturity", maturity)
     if maturity <= t0:
         raise InvalidInterval(f"maturity {maturity} must exceed anchor {t0}")
     n_exact = (maturity - t0) * frequency
@@ -152,6 +149,6 @@ def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
 
 
 def truncate_schedule(schedule: Schedule, maturity: float) -> Schedule:
-    """Prefix of the schedule ending at `maturity`, a number (_is_real) on the grid."""
+    """Prefix of the schedule ending at `maturity`, a number (_real) on the grid."""
     idx = schedule.index_at(_real("maturity", maturity))
     return Schedule(t0=schedule.t0, dates=schedule.dates[: idx + 1])

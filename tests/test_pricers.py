@@ -142,8 +142,11 @@ class TestRiskyFloater:
 @pytest.mark.parametrize("pricer", [par_cds_spread, price_risky_floater])
 def test_bare_recovery_outside_unit_interval_rejected(f1, pricer, recovery):
     # BondSpec's rule holds for the pricers that take a bare recovery; True, numpy's
-    # included, is no 1.0
-    with pytest.raises(ValueError, match=r"recovery must lie in \[0, 1\]"):
+    # included, is no 1.0, and it and text are refused as not numbers
+    match = r"recovery must lie in \[0, 1\]"
+    if not isinstance(recovery, float):
+        match = f"^recovery must be a number, got {type(recovery).__name__}$"
+    with pytest.raises(ValueError, match=match):
         pricer(f1.discount, f1.survival, f1.schedule, recovery)
 
 
@@ -567,7 +570,8 @@ def test_non_finite_repo_spec_rejected(fields):
 @pytest.mark.parametrize(
     "fields,match",
     [(dict(coupon=math.inf, recovery=0.4), "finite"), (dict(coupon=0.05, recovery=1.5), "recovery"),
-     (dict(coupon=0.05, recovery=True), "recovery"), (dict(coupon="0.05", recovery=0.4), "finite"),
+     (dict(coupon=0.05, recovery=True), "recovery"),
+     (dict(coupon="0.05", recovery=0.4), "^coupon must be a number, got str$"),
      (dict(coupon=0.05, recovery=np.True_), "recovery")],
 )
 def test_invalid_bond_spec_rejected(fields, match):

@@ -599,6 +599,24 @@ class TestMcHandOff:
         assert [results[k] for k in range(len(markets))] == [[e] * 20 for e in expected]
 
 
+@pytest.mark.parametrize("clause", ["no", None, 1, np.True_],
+                         ids=["text", "none", "int", "numpy_bool"])
+@pytest.mark.parametrize("call", [
+    lambda m, clause: replication_report(*m, RepoSpec(0.001), clause),
+    lambda m, clause: mc_check(*m, RepoSpec(0.001), clause, 2000, 5),
+    lambda m, clause: portfolio_ledger(*m, RepoSpec(0.001), 0.01, 0.011, clause,
+                                       DefaultScenario(2, 0.1)),
+], ids=["replication_report", "mc_check", "portfolio_ledger"])
+def test_clause_enabled_must_be_a_bool(f1, call, clause):
+    # "no" once ran with the clause on and None with it off; the refusal comes before
+    # the grid's kept table, which a report with the clause on has already built
+    market = f1.discount, f1.survival, f1.schedule, f1.bond
+    replication_report(*market, RepoSpec(0.001), True)
+    match = f"^clause_enabled must be a bool, got {type(clause).__name__}$"
+    with pytest.raises(ConfigError, match=match):
+        call(market, clause)
+
+
 class TestTableMemo:
     """A report followed by mc_check on one market builds the cashflow table once: the
     table is kept on the market's grid, beside its other sums (_Grid.kept)."""
@@ -667,15 +685,12 @@ class TestTableMemo:
             ({}, {"clause": False}),
             ({}, {"bond": BondSpec(coupon=0.06, recovery=0.4)}),
             ({"repo": RepoSpec(0.0)}, {"repo": RepoSpec(-0.0)}),
-            ({"repo": RepoSpec(2.0**-10)}, {"repo": RepoSpec(np.float32(2.0**-10))}),
-            ({"repo": RepoSpec(0.0, maturity=5.0)}, {"repo": RepoSpec(0.0, maturity=5)}),
         ],
-        ids=["schedule", "discount", "survival", "clause", "bond", "negative_zero", "float32",
-             "int_for_float"],
+        ids=["schedule", "discount", "survival", "clause", "bond", "negative_zero"],
     )
     def test_a_different_market_rebuilds_the_table(self, f1, tables, first, second):
         # equal but distinct curves and schedules are other markets, and so are specs
-        # that == calls equal but whose fields differ in sign or type
+        # that == calls equal but whose fields differ in sign
         first = {**dict(discount=f1.discount, survival=f1.survival, schedule=f1.schedule,
                         bond=f1.bond, repo=RepoSpec(0.001), clause=True), **first}
         second = {**first, **second}
@@ -684,6 +699,22 @@ class TestTableMemo:
         assert len(tables) == 2
         assert replication_report(*second.values()) == report  # the second is kept
         assert len(tables) == 2
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(RepoSpec(2.0**-10), RepoSpec(np.float32(2.0**-10))),
+         (RepoSpec(0.0, maturity=5.0), RepoSpec(0.0, maturity=5))],
+        ids=["float32", "int_for_float"],
+    )
+    def test_repos_equal_in_value_share_the_table(self, f1, tables, first, second):
+        # a spec keeps its fields as floats, so these two repos are equal field for field
+        market = f1.discount, f1.survival, f1.schedule, f1.bond
+        assert repr(second) == repr(first)
+        report = replication_report(*market, first, True)
+        assert repr(replication_report(*market, second, True)) == repr(report)
+        assert len(tables) == 1
+        fresh = DiscountCurve.flat(f1.r), SurvivalCurve.flat(f1.hazard), f1.schedule, f1.bond
+        assert repr(replication_report(*fresh, second, True)) == repr(report)
 
     def test_an_evaluation_that_raises_stores_nothing(self, f1, tables):
         market = f1.discount, f1.survival, f1.schedule, f1.bond

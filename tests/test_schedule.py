@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from cdsreplica import (
     build_schedule,
     truncate_schedule,
 )
-from cdsreplica.schedule import _is_integer, _is_real
+from cdsreplica.schedule import _is_integer, _real
 
 
 def test_annual_grid():
@@ -70,14 +72,28 @@ def test_one_integer_rule(value, expected):
 
 @pytest.mark.parametrize(
     ("value", "expected"),
-    [(0.4, True), (5, True), (np.float32(0.05), True), (np.int64(5), True), (10**400, True),
+    [(0.4, True), (5, True), (np.float32(0.05), True), (np.int64(5), True), (10**400, False),
      (np.float64(2.5), True), (True, False), (np.True_, False), (np.False_, False),
-     ("0.4", False), (None, False)],
+     ("0.4", False), (None, False), (Decimal("0.25"), True), (Fraction(1, 4), True)],
 )
 def test_one_real_rule(value, expected):
-    # a type with __float__ that is not bool: numpy scalars pass but numpy's bool
-    # does not, and text does not
-    assert _is_real(value) is expected
+    # a type with __float__ that is not bool: numpy scalars, Decimal and Fraction pass and
+    # come back as a float of the same value, but numpy's bool does not, and text does not;
+    # an int passes unless float() overflows on it
+    if expected:
+        got = _real("x", value)
+        assert type(got) is float and got == value
+    else:
+        kind = type(value).__name__
+        message = "is too large for a float" if kind == "int" else f"must be a number, got {kind}"
+        with pytest.raises(ConfigError, match=f"^x {message}$"):
+            _real("x", value)
+
+
+def test_a_sequence_holding_an_integer_too_large_for_a_float_is_refused():
+    # _reals converts each value by _real once the types pass
+    with pytest.raises(ConfigError, match="^node_times is too large for a float$"):
+        DiscountCurve((10**400,), (0.02,))
 
 
 @pytest.mark.parametrize(
