@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import accumulate
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, _riskless, fsum
@@ -201,12 +202,12 @@ def _swap_payments(g: _Grid, coupon: float, spread: float) -> list[float]:
 
 
 def _mtm_values(g: _Grid, coupon: float, spread: float) -> list[float]:
-    payments = _swap_payments(g, coupon, spread)
-    values = [0.0] * len(payments)
-    tail = 0.0
-    for k in range(len(payments), 0, -1):
-        tail += payments[k - 1]
-        values[k - 1] = tail / g.p[k]
+    """values[k-1] = the discounted payments of periods k..N over P_k (mtm_profile): running
+    sums from the last payment back, from 0.0 as a loop adds them, each over its P_k."""
+    tails = accumulate(reversed(_swap_payments(g, coupon, spread)), initial=0.0)
+    next(tails)  # the empty tail past t_N
+    values = list(map(truediv, tails, reversed(g.p)))
+    values.reverse()
     return values
 
 

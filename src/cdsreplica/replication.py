@@ -465,10 +465,11 @@ def mc_check(
     for name, value in (("paths", n_paths), ("seed", seed)):
         if not _is_integer(value):
             raise ConfigError(f"mc {name}: must be an integer, got {type(value).__name__}")
+    # a value out of range is not echoed: an integer may have thousands of digits
     if not 1000 <= n_paths <= _MAX_MC_PATHS:
-        raise ConfigError(f"mc paths: must lie in [1000, {_MAX_MC_PATHS}], got {n_paths}")
+        raise ConfigError(f"mc paths: must lie in [1000, {_MAX_MC_PATHS}]")
     if not 0 <= seed < 2**128:
-        raise ConfigError(f"mc seed: must lie in [0, 2**128), got {seed}")
+        raise ConfigError("mc seed: must lie in [0, 2**128)")
     g = _grid(discount, survival, schedule)
     residuals = g.kept(_par_table, (schedule, _clause(clause_enabled), bond, repo))[1]
     residuals = np.fromiter(residuals, float, len(residuals))

@@ -131,8 +131,10 @@ def build_schedule(t0: float, maturity: float, frequency: int) -> Schedule:
     (maturity - t0) * frequency must be a finite integer (within 1e-9), at
     most _MAX_PERIODS; both are checked before any date is built.
     """
-    if not _is_integer(frequency) or frequency not in VALID_FREQUENCIES:
-        raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}, got {frequency}")
+    if not _is_integer(frequency):
+        raise InvalidFrequency(f"frequency must be an integer, got {type(frequency).__name__}")
+    if frequency not in VALID_FREQUENCIES:  # not echoed: an integer may have thousands of digits
+        raise InvalidFrequency(f"frequency must be one of {VALID_FREQUENCIES}")
     t0, maturity = _real("t0", t0), _real("maturity", maturity)
     if maturity <= t0:
         raise InvalidInterval(f"maturity {maturity} must exceed anchor {t0}")

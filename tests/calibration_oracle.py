@@ -2,10 +2,12 @@
 evaluated h = 10 only on demand.
 
 This fit checks that h = 10 prices at or above the quote before Newton starts,
-builds each point's curve through `SurvivalCurve.flat` and its checks, and starts
-from quote / LGD clipped to [0, 10]. It prices each point on the package's grid
-and par spread, as the package's fit does. The tests hold the package's fit to
-this one bit for bit.
+builds each point's curve through `SurvivalCurve.flat` and its checks, and forms
+every point's slope. It starts from the package's own first guess
+(`curves._hazard_guess`) and prices each point on the package's grid and par
+spread, as the package's fit does, so the tests that hold the package's fit to
+this one bit for bit check only where h = 10 is evaluated and how each point's
+curve is built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import mul
 from typing import NamedTuple
 
 from cdsreplica import QuoteUnattainable, SurvivalCurve
-from cdsreplica.curves import _grid, fsum
+from cdsreplica.curves import _grid, _hazard_guess, fsum
 from cdsreplica.pricers import _par_cds
 
 
@@ -43,7 +45,7 @@ def calibrate_flat_hazard(discount, schedule, cds_quote, recovery) -> Fit:
     lo, hi = 0.0, 10.0
     if evaluate(hi)[1] - cds_quote < 0.0:
         raise QuoteUnattainable(f"quote {cds_quote} exceeds the spread attainable at hazard {hi}")
-    hazard = min(max(cds_quote / lgd, lo), hi)
+    hazard = _hazard_guess(grid, schedule, cds_quote, lgd)
     for iterations in range(1, 201):
         curve, spread, slope = evaluate(hazard)
         residual = spread - cds_quote

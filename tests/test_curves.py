@@ -2,8 +2,10 @@ import collections
 import dataclasses
 import math
 import random
+import re
 import sys
 import threading
+from itertools import accumulate
 
 import numpy as np
 
@@ -314,9 +316,15 @@ class TestCalibration:
             calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, quote, recovery)
 
 
+# A grid whose accruals are 0.5, 0.5, 2 and 2 years: its first guess, from the mean
+# accrual, misses the root, so the fit takes Newton steps (3 points at quotes of 1-3%).
+IRREGULAR = Schedule(0.0, (0.5, 1.0, 3.0, 5.0))
+
 # Worst point count measured over 9,000 random markets in these ranges (1-4-node
 # discount curves, h log-uniform and uniform on [1e-6, 9]): 14, where bisection
 # on [0, 10] took a median of 41-42 and at most 54. The bound leaves a margin of 6.
+# That was from the first guess quote / LGD; TestFirstGuess bounds the fit from the
+# root of the discrete spread, and this bound stays the cap of any start.
 NEWTON_MAX_POINTS = 20
 
 
@@ -356,10 +364,11 @@ class TestNewtonCalibration:
 
     @pytest.mark.parametrize("slope", [math.nan, 0.0, -1.0, math.inf])
     def test_unusable_slope_falls_back_to_the_midpoint(self, monkeypatch, slope):
-        # both slope sums go through curves.fsum; a constant makes every step unusable
+        # both slope sums go through curves.fsum; a constant makes every step unusable. On an
+        # irregular grid the first guess is only near the root, so the fit takes steps
         monkeypatch.setattr(curves, "fsum", lambda values: slope)
         discount = DiscountCurve.flat(0.02)
-        schedule = build_schedule(0.0, 5.0, 4)
+        schedule = IRREGULAR
         quote = par_cds_spread(discount, SurvivalCurve.flat(0.03), schedule, 0.4).spread
         fit = _calibrate_flat_hazard(discount, schedule, quote, 0.4)
         assert abs(fit.spread - quote) < 1e-12
@@ -374,6 +383,66 @@ class TestNewtonCalibration:
         schedule = build_schedule(0.0, 5.0, 1)
         with pytest.raises(ValueError):
             calibrate_flat_hazard(DiscountCurve.flat(0.02), schedule, math.nan, 0.4)
+
+
+class TestFirstGuess:
+    """The fit starts at the root of the discrete par spread on a regular grid."""
+
+    @given(
+        frequency=st.sampled_from((1, 2, 4, 12)),
+        periods=st.integers(1, 360),
+        t0=st.sampled_from((0.0, 1.25)),
+        rate=st.floats(-0.05, 0.10),
+        hazard=st.floats(1e-6, 9.0),
+        recovery=st.floats(0.0, 0.95),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_flat_discount_curve_fits_at_its_first_point(
+        self, frequency, periods, t0, rate, hazard, recovery
+    ):
+        # R is a constant on a flat discount curve, so the guess is the root itself
+        discount = DiscountCurve.flat(rate, t0)
+        schedule = build_schedule(t0, t0 + periods / frequency, frequency)
+        quote = par_cds_spread(discount, SurvivalCurve.flat(hazard, t0), schedule, recovery).spread
+        fit = _calibrate_flat_hazard(discount, schedule, quote, recovery)
+        assert fit.iterations == 1
+        assert abs(fit.spread - quote) < 1e-12
+
+    @given(market=calibration_markets())
+    @settings(max_examples=150, deadline=None)
+    def test_any_market_fits_in_at_most_three_points(self, market):
+        # the worst measured over 4,000 random markets in these ranges was 2
+        discount, schedule, hazard, recovery = market
+        quote = par_cds_spread(discount, SurvivalCurve.flat(hazard), schedule, recovery).spread
+        fit = _calibrate_flat_hazard(discount, schedule, quote, recovery)
+        assert fit.iterations <= 3
+        assert abs(fit.spread - quote) < 1e-12
+
+    @pytest.mark.parametrize("quote", [math.inf, 1e300])
+    def test_an_unattainable_quote_past_every_float_is_rejected(self, quote):
+        # an infinite quote makes the guess's sums zero, 1e300 a guess far past 10: either
+        # falls back to quote / LGD clipped to 10, whose first point is its own check
+        message = f"quote {quote} exceeds the spread attainable at hazard 10.0"
+        with pytest.raises(QuoteUnattainable, match=f"^{re.escape(message)}$"):
+            _calibrate_flat_hazard(DiscountCurve.flat(0.02), build_schedule(0.0, 1.0, 1),
+                                   quote, 0.4)
+
+    def test_the_guess_uses_no_patched_sum(self, monkeypatch):
+        # the guess sums with math.fsum: a patched curves.fsum leaves it the root
+        discount, schedule = DiscountCurve.flat(0.02), build_schedule(0.0, 5.0, 4)
+        grid = curves._grid(discount, None, schedule)
+        guess = curves._hazard_guess(grid, schedule, 0.012, 0.6)
+        monkeypatch.setattr(curves, "fsum", lambda values: math.nan)
+        assert curves._hazard_guess(grid, schedule, 0.012, 0.6) == guess
+
+    @pytest.mark.parametrize("hazard", [1e-4, 0.03, 0.8])
+    def test_an_irregular_schedule_still_reproduces_the_quote(self, hazard):
+        discount = DiscountCurve((1.0, 4.0), (0.01, 0.04))
+        quote = par_cds_spread(discount, SurvivalCurve.flat(hazard), IRREGULAR, 0.4).spread
+        fit = _calibrate_flat_hazard(discount, IRREGULAR, quote, 0.4)
+        assert abs(fit.spread - quote) < 1e-12
+        assert fit.spread == par_cds_spread(discount, fit.curve, IRREGULAR, 0.4).spread
+        assert fit.iterations > 1  # the mean accrual makes the guess approximate here
 
 
 def _points(monkeypatch):
@@ -410,25 +479,42 @@ class TestCheckAtTheCeiling:
         rng = random.Random(28)
         checked = 0
         for _ in range(100):
-            schedule = build_schedule(0.0, rng.randint(1, 40) / 4, 4)
-            discount = DiscountCurve.flat(rng.uniform(-0.1, 0.05))  # below zero, s(q / LGD) < q
+            # irregular dates: the first guess misses the root, on either side
+            dates = list(accumulate(rng.uniform(0.1, 1.0) for _ in range(rng.randint(1, 12))))
+            schedule = Schedule(0.0, dates)
+            discount = DiscountCurve.flat(rng.uniform(-0.1, 0.05))
             recovery = rng.uniform(0.0, 0.9)
             quote = rng.uniform(1e-4, 0.05)
-            first = par_cds_spread(discount, SurvivalCurve.flat(quote / (1.0 - recovery)),
-                                   schedule, recovery).spread
+            guess = curves._hazard_guess(curves._grid(discount, None, schedule), schedule,
+                                         quote, 1.0 - recovery)
+            first = par_cds_spread(discount, SurvivalCurve.flat(guess), schedule, recovery).spread
             hazards.clear()
             fit = _calibrate_flat_hazard(discount, schedule, quote, recovery)
-            below = first < quote
+            below = first - quote <= -1e-12
             assert len(hazards) == fit.iterations + below
             assert hazards.count(10.0) == below
             checked += below
         assert 0 < checked < 100
 
-    def test_a_negative_rate_market_still_checks_h_10_once(self, monkeypatch):
-        # at -5% the first point, 0.01 / 0.6, prices below the quote
+    def test_a_first_point_a_hair_below_the_quote_is_not_checked(self, monkeypatch):
+        # the guess is the root on a flat curve; a first point within the tolerance stops
         hazards = _points(monkeypatch)
-        fit = _calibrate_flat_hazard(DiscountCurve.flat(-0.05), build_schedule(0.0, 5.0, 1),
-                                     0.01, 0.4)
+        rng = random.Random(31)
+        hair = 0
+        for _ in range(40):
+            discount = DiscountCurve.flat(rng.uniform(-0.05, 0.1))
+            schedule = build_schedule(0.0, rng.randint(1, 40) / 4, 4)
+            quote = rng.uniform(1e-4, 0.05)
+            hazards.clear()
+            fit = _calibrate_flat_hazard(discount, schedule, quote, 0.4)
+            assert hazards == [fit.curve.hazards[0]] and fit.iterations == 1
+            hair += fit.spread < quote
+        assert hair > 0
+
+    def test_a_negative_rate_market_still_checks_h_10_once(self, monkeypatch):
+        # at -5% the first point on the irregular grid prices below the quote
+        hazards = _points(monkeypatch)
+        fit = _calibrate_flat_hazard(DiscountCurve.flat(-0.05), IRREGULAR, 0.01, 0.4)
         assert abs(fit.spread - 0.01) < 1e-12
         assert len(hazards) == fit.iterations + 1 and hazards.count(10.0) == 1
 

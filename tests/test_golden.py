@@ -81,9 +81,9 @@ def _digest(name: str) -> str:
 
 
 GOLDEN = {
-    "n1": "e04769abaa53af76158a85308ceca875",
-    "n40": "2c53550e0399c9167b897d14fb37180b",
-    "n120": "1190a3e6638471804e6c365004265028",
+    "n1": "17dfb0e57f1504bfb7174d618517e08c",
+    "n40": "c8b2dba6837e3a0295d9ab476312344f",
+    "n120": "83af19836fbab8e9dbefa8f8b60d7685",
     "n360": "040801d8c5552281169b01885f353be2",
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -35,8 +36,10 @@ from cdsreplica import (
     price_risky_bond,
     price_risky_floater,
     price_sheet,
+    replication_report,
     standard_asw_pv,
 )
+from cdsreplica import curves, pricers, replication
 from enum_oracle import (
     oracle_asw_pv,
     oracle_bond_price,
@@ -335,6 +338,34 @@ class TestMtmProfile:
                 for h in range(k, 6)
             )
             assert profile.values[k - 1] == pytest.approx(brute, abs=TOL)
+
+
+    def test_values_are_the_backward_loops_bits(self, monkeypatch):
+        # the running sums add as the loop did, 0.0 + pay_N first, and divide by the same P_k
+        def loop(g, coupon, spread):
+            payments = pricers._swap_payments(g, coupon, spread)
+            values = [0.0] * len(payments)
+            tail = 0.0
+            for k in range(len(payments), 0, -1):
+                tail += payments[k - 1]
+                values[k - 1] = tail / g.p[k]
+            return values
+
+        rng = random.Random(31)
+        for _ in range(60):
+            m = random_market(rng)
+            spread = rng.uniform(-0.05, 0.05)
+            g = curves._grid(m.discount, None, m.schedule)
+            assert ([v.hex() for v in pricers._mtm_values(g, m.bond.coupon, spread)]
+                    == [v.hex() for v in loop(g, m.bond.coupon, spread)])
+            repo = RepoSpec(rng.uniform(0.0, 0.01))  # clause off needs a repo to maturity
+            report = replication_report(*m, repo, False)
+            with monkeypatch.context() as patched:
+                patched.setattr(replication, "_mtm_values", loop)
+                # fresh curves: the report's table is kept on the market's grid
+                fresh = dataclasses.replace(m.discount), dataclasses.replace(m.survival)
+                reference = replication_report(*fresh, m.schedule, m.bond, repo, False)
+            assert repr(report) == repr(reference)  # repr round-trips every float exactly
 
 
 class TestEarlyTerminationPv:

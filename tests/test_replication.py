@@ -416,6 +416,23 @@ class TestMcCheck:
                 RepoSpec(spread=0.001), True, replication._MAX_MC_PATHS + 1, seed=1,
             )
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize(
+        "huge, message",
+        [("paths", r"mc paths: must lie in \[1000, 100000000\]"),
+         ("seed", r"mc seed: must lie in \[0, 2\*\*128\)")],
+        ids=["paths", "seed"],
+    )
+    def test_a_huge_path_count_or_seed_is_not_echoed(self, f1, digits, huge, message):
+        # str() of an int past 4,300 digits raises ValueError, and 400 digits made
+        # a 445-character message
+        n_paths, seed = (10**digits, 1) if huge == "paths" else (1000, 10**digits)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            mc_check(
+                f1.discount, f1.survival, f1.schedule, f1.bond,
+                RepoSpec(spread=0.001), True, n_paths, seed,
+            )
+
     @pytest.mark.parametrize(
         "n_paths, seed, match",
         [

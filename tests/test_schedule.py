@@ -48,6 +48,20 @@ def test_invalid_frequency_rejected(frequency):
         build_schedule(0.0, 5.0, frequency)
 
 
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_a_huge_frequency_is_not_echoed(digits):
+    # str() of an int past 4,300 digits raises ValueError, and 400 digits made
+    # a 445-character message
+    with pytest.raises(InvalidFrequency, match=r"^frequency must be one of \(1, 2, 4, 12\)$"):
+        build_schedule(0.0, 5.0, 10**digits)
+
+
+@pytest.mark.parametrize(("frequency", "name"), [(True, "bool"), (1.0, "float"), ("4", "str")])
+def test_a_non_integer_frequency_is_named_by_its_type(frequency, name):
+    with pytest.raises(InvalidFrequency, match=f"^frequency must be an integer, got {name}$"):
+        build_schedule(0.0, 5.0, frequency)
+
+
 @pytest.mark.parametrize(
     ("t0", "maturity", "name"),
     [(0.0, True, "maturity"), (False, 5.0, "t0"), (0.0, "5", "maturity")],
