@@ -15,8 +15,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
 
+from ._record import MISSING, Record, field
 from .curves import DiscountCurve, SurvivalCurve, _calibrate_flat_hazard, calibrate_flat_hazard
 from .errors import ConfigError, PricingError
 
@@ -118,73 +118,63 @@ def _section(cls):
     return lambda raw, path: _parse_fields(cls, raw, path)
 
 
-def _field(parse, **default):
-    """A config field whose JSON value is checked and converted by parse(value, path)."""
-    return field(metadata={"parse": parse}, **default)
-
-
-@dataclass(frozen=True)
 class BondConfig(BondSpec):
     """The `bond` section: a BondSpec plus the maturity and frequency of its grid."""
 
-    coupon: float = _field(_require_number)
-    recovery: float = _field(_number_where(lambda r: 0.0 <= r < 1.0, "must lie in [0, 1)"))
-    maturity: float = _field(_positive)
-    frequency: int = _field(_frequency)
+    coupon: float = field(parse=_require_number)
+    recovery: float = field(parse=_number_where(lambda r: 0.0 <= r < 1.0, "must lie in [0, 1)"))
+    maturity: float = field(parse=_positive)
+    frequency: int = field(parse=_frequency)
 
 
-@dataclass(frozen=True)
 class RepoConfig(RepoSpec):
     """The `repo` section: a RepoSpec read from JSON, the forward price "fair" as None."""
 
-    spread: float = _field(_require_number, default=0.0)
-    maturity: float | None = _field(_positive, default=None)
-    forward_price: float | None = _field(_forward_price, default=None)  # None means "fair"
+    spread: float = field(0.0, parse=_require_number)
+    maturity: float | None = field(None, parse=_positive)
+    forward_price: float | None = field(None, parse=_forward_price)  # None means "fair"
 
 
-@dataclass(frozen=True)
-class QuotesConfig:
+class QuotesConfig(Record):
     """The `quotes` section: CDS and cancelable-ASW bid and ask, for implied-repo."""
 
-    cds_bid: float = _field(_require_number)
-    cds_ask: float = _field(_require_number)
-    aswc_bid: float = _field(_require_number)
-    aswc_ask: float = _field(_require_number)
+    cds_bid: float = field(parse=_require_number)
+    cds_ask: float = field(parse=_require_number)
+    aswc_bid: float = field(parse=_require_number)
+    aswc_ask: float = field(parse=_require_number)
 
 
-@dataclass(frozen=True)
-class MarketConfig:
+class MarketConfig(Record):
     """A validated market config: curves (or a CDS quote), bond, repo and quotes."""
 
-    discount_nodes: tuple[tuple[float, float], ...] = _field(_nodes(_require_number))
-    bond: BondConfig = _field(_section(BondConfig))
-    hazard_nodes: tuple[tuple[float, float], ...] | None = _field(
-        _nodes(_number_where(lambda h: h >= 0.0, "hazard must be non-negative")), default=None
+    discount_nodes: tuple[tuple[float, float], ...] = field(parse=_nodes(_require_number))
+    bond: BondConfig = field(parse=_section(BondConfig))
+    hazard_nodes: tuple[tuple[float, float], ...] | None = field(
+        None, parse=_nodes(_number_where(lambda h: h >= 0.0, "hazard must be non-negative"))
     )
-    cds_quote: float | None = _field(
-        _number_where(lambda q: q >= 0.0, "must be non-negative"), default=None
+    cds_quote: float | None = field(
+        None, parse=_number_where(lambda q: q >= 0.0, "must be non-negative")
     )
-    repo: RepoConfig = _field(_section(RepoConfig), default=RepoConfig())
-    quotes: QuotesConfig | None = _field(_section(QuotesConfig), default=None)
+    repo: RepoConfig = field(RepoConfig(), parse=_section(RepoConfig))
+    quotes: QuotesConfig | None = field(None, parse=_section(QuotesConfig))
 
 
 def _parse_fields(cls, raw, path: str = ""):
-    """Build the config dataclass cls from a JSON object, each field by its own parser.
+    """Build the config record cls from a JSON object, each field by its own parser.
 
     An absent field takes its default; an absent required field goes to its
     parser as None, so that the error names it.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{path or 'config root'}: expected an object")
-    declared = {f.name: f for f in fields(cls)}
     prefix = f"{path}." if path else ""
     for key in raw:
-        if key not in declared:
+        if key not in cls._specs:
             raise ConfigError(f"{prefix}{key}: unknown field")
     return cls(**{
-        name: f.metadata["parse"](raw.get(name), prefix + name)
-        for name, f in declared.items()
-        if name in raw or f.default is MISSING
+        name: spec.parse(raw.get(name), prefix + name)
+        for name, spec in cls._specs.items()
+        if name in raw or spec.default is MISSING
     })
 
 
@@ -198,7 +188,8 @@ def parse_config(raw) -> MarketConfig:
 
 def serialize_config(config: MarketConfig) -> dict:
     """Inverse of parse_config: parse(serialize(c)) == c. Fields that are None are left out."""
-    return asdict(config, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+    return {name: serialize_config(value) if isinstance(value, Record) else value
+            for name, value in config._asdict().items() if value is not None}
 
 
 def _discount_and_schedule(config: MarketConfig) -> tuple[DiscountCurve, Schedule]:

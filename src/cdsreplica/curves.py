@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import exp
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .errors import (
     DegenerateAnnuity,
     InconsistentSpecs,
@@ -123,8 +123,8 @@ def _memo(curve, schedule: Schedule, evaluate):
     A call hits only when the stored schedule is the very object passed in: the
     memo holds it, so its identity cannot be reused, and values are never
     compared. An evaluation that raises stores nothing. The memo is a plain
-    attribute set past the frozen dataclass, so it stays out of ==, hash, repr,
-    fields, asdict and replace, and dies with the curve. Its one store of a
+    attribute set past the frozen record, so it stays out of ==, hash, repr,
+    _fields, _asdict and _replace, and dies with the curve. Its one store of a
     tuple (and _Grid.kept's, for a grid's sums) keeps the curve safe to share
     across threads: a race only evaluates twice.
     """
@@ -136,8 +136,7 @@ def _memo(curve, schedule: Schedule, evaluate):
     return values
 
 
-@dataclass(frozen=True)
-class DiscountCurve:
+class DiscountCurve(Record):
     """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate).
 
     t0, node times, rates and every time queried must be numbers (_real), else ConfigError.
@@ -177,8 +176,7 @@ class DiscountCurve:
         return (p_start / p_end - 1.0) / (t_end - t_start)
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
+class SurvivalCurve(Record):
     """Issuer survival curve Q(t0, t) = exp(-integral of the hazard rate).
 
     t0, node times, hazards and every time queried must be numbers (_real), else ConfigError.
@@ -315,8 +313,7 @@ def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Sch
     return g
 
 
-@dataclass(frozen=True)
-class DefaultDistribution:
+class DefaultDistribution(Record):
     """Law of the default time restricted to the payment grid, as floats (_real).
 
     bucket_probs[k-1] is the probability of default in (t_{k-1}, t_k],
@@ -415,14 +412,16 @@ def _calibrate_flat_hazard(
     least the tolerance is followed by the check at h = 10, which raises
     QuoteUnattainable when s(10) is below the quote too (a first point at h = 10
     is its own check). Each point prices s on the pricers' grid, so the curve
-    returned keeps its Q (_memo); a step takes its slope from dQ_k/dh =
+    returned keeps its Q (_memo). A point may price above the pricers' cap on a
+    par spread (_MAX_PAR_SPREAD), which still proves the quote attainable; only
+    the spread returned must lie under it. A step takes its slope from dQ_k/dh =
     -(t_k - t0) Q_k (_slope_weights, formed at the first step), and a step leaving
     the current bracket, or a slope not finite and positive, falls back to the
     bracket's midpoint. Stops when |s(h) - quote| < 1e-12 (capped at 200 points),
     returning the last point evaluated; `iterations` counts the Newton points, not
     the check at h = 10.
     """
-    from .pricers import _par_cds
+    from .pricers import _par, _par_cds
 
     cds_quote, recovery = _real("cds quote", cds_quote), _real("recovery", recovery)
     if not cds_quote >= 0.0:
@@ -435,10 +434,10 @@ def _calibrate_flat_hazard(
         raise ValueError("node times must be strictly increasing and after t0")
 
     def evaluate(hazard: float):
-        """The curve at this hazard, its grid and its par spread."""
+        """The curve at this hazard, its grid and its par spread, uncapped."""
         curve = SurvivalCurve._trial(hazard, discount.t0)
         g = _grid(discount, curve, schedule)
-        return curve, g, _par_cds(g, recovery)
+        return curve, g, _par_cds(g, recovery, math.inf)
 
     lo, hi = _HAZARD_BRACKET
     ceiling = hi
@@ -467,7 +466,7 @@ def _calibrate_flat_hazard(
         ) / par.annuity
         step = hazard - residual / slope if math.isfinite(slope) and slope > 0.0 else math.nan
         hazard = step if lo < step < hi else 0.5 * (lo + hi)
-    return _Fit(curve, par.spread, iterations)
+    return _Fit(curve, _par(par.numerator, par.annuity).spread, iterations)
 
 
 def calibrate_flat_hazard(

@@ -18,11 +18,11 @@ the bond's pull-to-par upfront.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, truediv
 from typing import NamedTuple
 
+from ._record import Record
 from .curves import DiscountCurve, SurvivalCurve, _Grid, _grid, _riskless, fsum
 from .errors import CrossedMarket, DegenerateAnnuity, InconsistentSpecs, NonFiniteResult
 from .schedule import Schedule, _real
@@ -62,8 +62,7 @@ _FORWARD_PRICE_TOL = 1e-9
 _MAX_PAR_SPREAD = 1e6
 
 
-@dataclass(frozen=True)
-class BondSpec:
+class BondSpec(Record):
     """Fixed-coupon bullet bond of the defaultable issuer, unit notional; two floats (_real)."""
 
     coupon: float
@@ -80,8 +79,7 @@ class BondSpec:
         return 1.0 - self.recovery
 
 
-@dataclass(frozen=True)
-class RepoSpec:
+class RepoSpec(Record):
     """Financing terms: periodic floating + spread against the bond, unit notional.
 
     Each field is a float (_real); maturity None means repo to maturity (the bond's
@@ -102,8 +100,7 @@ class RepoSpec:
                     raise ValueError(f"{name} must be a finite number")
 
 
-@dataclass(frozen=True)
-class SpreadResult:
+class SpreadResult(Record):
     """Par spread together with its decomposition numerator / annuity."""
 
     spread: float
@@ -111,8 +108,7 @@ class SpreadResult:
     annuity: float
 
 
-@dataclass(frozen=True)
-class MtmProfile:
+class MtmProfile(Record):
     """Holder-side value of the remaining swap payments just before each t_k.
 
     values[k-1] covers payments at t_k..t_N, the period-k payment included:
@@ -142,16 +138,18 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
-def _par(numerator: float, annuity: float) -> SpreadResult:
+def _par(numerator: float, annuity: float, cap: float = _MAX_PAR_SPREAD) -> SpreadResult:
     """The one annuity guard: every par spread is numerator / annuity, finite and
-    at most _MAX_PAR_SPREAD in magnitude, over a finite positive annuity."""
+    at most cap in magnitude, over a finite positive annuity. The cap is
+    _MAX_PAR_SPREAD for every spread returned; only the calibration's trial
+    points lift it."""
     if not annuity > 0.0:
         raise DegenerateAnnuity(f"annuity {annuity} is not positive")
     spread = _finite("par spread", numerator / _finite("annuity", annuity))
-    if abs(spread) > _MAX_PAR_SPREAD:
+    if abs(spread) > cap:
         raise DegenerateAnnuity(
             f"par spread {spread} = {numerator} / annuity {annuity} exceeds"
-            f" {_MAX_PAR_SPREAD:g} in magnitude"
+            f" {cap:g} in magnitude"
         )
     return SpreadResult(spread=spread, numerator=numerator, annuity=annuity)
 
@@ -181,8 +179,8 @@ def _risky_bond(g: _Grid, bond: BondSpec) -> float:
     return _note(g, g.kept(_bond_coupons, bond.coupon), bond.recovery)
 
 
-def _par_cds(g: _Grid, recovery: float) -> SpreadResult:
-    return _par((1.0 - recovery) * g.kept(_default_leg), g.kept(_annuity))
+def _par_cds(g: _Grid, recovery: float, cap: float = _MAX_PAR_SPREAD) -> SpreadResult:
+    return _par((1.0 - recovery) * g.kept(_default_leg), g.kept(_annuity), cap)
 
 
 def _par_asw(g: _Grid, bond: BondSpec) -> SpreadResult:

@@ -34,12 +34,12 @@ ones, and discounts its entries apart, through the discount curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .curves import (
     DefaultDistribution,
     DiscountCurve,
@@ -89,16 +89,14 @@ class CashflowEntry(NamedTuple):
     amount: float
 
 
-@dataclass(frozen=True)
-class DefaultScenario:
+class DefaultScenario(Record):
     """Default in bucket k (1-based, settled at t_k) or survival (bucket None)."""
 
     default_bucket: int | None
     probability: float
 
 
-@dataclass(frozen=True)
-class CashflowLedger:
+class CashflowLedger(Record):
     """Every cashflow of one scenario, per leg, on the payment grid (plus t0)."""
 
     entries: tuple[CashflowEntry, ...]
@@ -132,8 +130,7 @@ class ScenarioResidual(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class ReplicationReport:
+class ReplicationReport(Record):
     """Residuals of the replica portfolio against the CDS, per scenario and expected."""
 
     clause_enabled: bool

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import index
 
+from ._record import Record, field
 from .errors import (
     ConfigError, InvalidFrequency, InvalidInterval, MaturityNotOnGrid, NonIntegralPeriods,
 )
@@ -66,8 +66,7 @@ def _reals(name: str, values) -> tuple[float, ...]:
     return tuple([_real(name, value) for value in values])
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Payment dates t_1 < ... < t_N with accruals theta_k = t_k - t_{k-1}.
 
     t0 and the dates must be numbers (_real), else ConfigError; they are kept as

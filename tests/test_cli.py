@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import io
 import json
@@ -517,14 +516,20 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_replicate_loads_replication_and_only_mc_loads_numpy(tmp_path):
-    # the commands run in turn in one fresh interpreter: (exit code, replication
-    # loaded, numpy loaded) after each
-    quoted, invalid = tmp_path / "quoted.json", tmp_path / "invalid.json"
+def _quoted_config(tmp_path) -> Path:
+    """F1 with a CDS quote for its curve and quotes for implied-repo: every command runs."""
+    quoted = tmp_path / "quoted.json"
     quoted.write_text(json.dumps({
         **{k: v for k, v in F1_CONFIG.items() if k != "hazard_nodes"}, "cds_quote": 0.012,
         "quotes": {"cds_bid": 0.011, "cds_ask": 0.012, "aswc_bid": 0.010, "aswc_ask": 0.013},
     }))
+    return quoted
+
+
+def test_only_replicate_loads_replication_and_only_mc_loads_numpy(tmp_path):
+    # the commands run in turn in one fresh interpreter: (exit code, replication
+    # loaded, numpy loaded) after each
+    quoted, invalid = _quoted_config(tmp_path), tmp_path / "invalid.json"
     invalid.write_text(json.dumps({**F1_CONFIG, "surprise": 1}))
     argvs = [["--config", str(path), *argv] for path, argv in (
         (quoted, ["price"]), (quoted, ["calibrate"]), (quoted, ["implied-repo"]),
@@ -532,6 +537,30 @@ def test_only_replicate_loads_replication_and_only_mc_loads_numpy(tmp_path):
     )]
     loaded = json.loads(_fresh(_RUN_IN_TURN, json.dumps(argvs)))
     assert loaded == [[0, False, False]] * 3 + [[2, False, False], [0, True, False], [0, True, True]]
+
+
+_ADDED_IN_TURN = """
+import sys
+bare = set(sys.modules)  # the interpreter's own, site's hooks included
+import io, json
+from contextlib import redirect_stderr, redirect_stdout
+import cdsreplica.cli as cli
+added = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    added.append([code, sorted({"dataclasses", "inspect"} & (set(sys.modules) - bare))])
+print(json.dumps(added))
+"""
+
+
+def test_no_command_without_mc_adds_dataclasses_or_inspect(tmp_path):
+    # the commands run in turn in one fresh interpreter: (exit code, which of dataclasses
+    # and inspect it has added to the bare interpreter's modules) after each
+    quoted = _quoted_config(tmp_path)
+    argvs = [["--config", str(quoted), command]
+             for command in ("price", "calibrate", "implied-repo", "replicate")]
+    assert json.loads(_fresh(_ADDED_IN_TURN, json.dumps(argvs))) == [[0, []]] * 4
 
 
 def test_importing_a_submodule_from_the_package_leaves_replication_unloaded():
@@ -743,14 +772,14 @@ def test_every_input_ends_in_a_documented_exit(contract_config, case):
 
 
 def _numbers_in(value):
-    """Every float in a pricer's result: a number, or a tuple, list, dict or dataclass of them."""
+    """Every float in a pricer's result: a number, or a tuple, list, dict or record of them."""
     if isinstance(value, float):
         yield value
     elif isinstance(value, (list, tuple, dict)):
         for item in value.values() if isinstance(value, dict) else value:
             yield from _numbers_in(item)
-    elif dataclasses.is_dataclass(value):
-        yield from _numbers_in(vars(value))
+    elif hasattr(value, "_fields"):
+        yield from _numbers_in(value._asdict())
 
 
 @given(case=_cli_cases())

@@ -13,7 +13,6 @@ OverflowError. None is valid where the slot's default is None.
 The survey is finite, so it is run exhaustively rather than sampled.
 """
 
-import dataclasses
 import inspect
 import math
 from decimal import Decimal
@@ -111,10 +110,7 @@ def _numbers(value, field):
     """(field, number) of every number a result holds, named by its innermost field."""
     if value is None or isinstance(value, Enum):
         return
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _numbers(getattr(value, f.name), f.name)
-    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+    if hasattr(value, "_fields"):  # a record or a NamedTuple
         for name, item in value._asdict().items():
             yield from _numbers(item, name)
     elif isinstance(value, dict):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import random
 import re
@@ -518,6 +517,25 @@ class TestCheckAtTheCeiling:
         assert abs(fit.spread - 0.01) < 1e-12
         assert len(hazards) == fit.iterations + 1 and hazards.count(10.0) == 1
 
+    def test_a_point_priced_above_the_spread_cap_proves_the_quote_attainable(self, monkeypatch):
+        # a 2y first period at -5%: s(10) is about 1.3e8, past the pricers' cap of 1e6, and
+        # the first point prices below the quote, so the fit checks h = 10 and goes on
+        discount, schedule = DiscountCurve.flat(-0.05), Schedule(0.0, (2.0, 2.5, 3.0, 5.0))
+        with pytest.raises(DegenerateAnnuity, match="exceeds 1e"):
+            par_cds_spread(discount, SurvivalCurve.flat(10.0), schedule, 0.4)
+        hazards = _points(monkeypatch)
+        fit = _calibrate_flat_hazard(discount, schedule, 0.01, 0.4)
+        assert hazards.count(10.0) == 1 and len(hazards) == fit.iterations + 1
+        assert abs(fit.spread - 0.01) < 1e-12 and abs(fit.curve.hazards[0] - 0.018) < 1e-3
+        assert par_cds_spread(discount, fit.curve, schedule, 0.4).spread == fit.spread
+        assert calibrate_flat_hazard(discount, schedule, 0.01, 0.4) == fit.curve
+
+    def test_an_attainable_quote_above_the_spread_cap_is_not_returned(self):
+        # the fit may price past the cap, but the spread it returns passes the pricers' guard
+        discount, schedule = DiscountCurve.flat(-0.05), Schedule(0.0, (2.0, 2.5, 3.0, 5.0))
+        with pytest.raises(DegenerateAnnuity, match="exceeds 1e"):
+            _calibrate_flat_hazard(discount, schedule, 2e6, 0.4)
+
     def test_a_quote_past_the_ceiling_evaluates_h_10_once(self, monkeypatch):
         # the first guess clips to 10, so the first point is the check
         hazards = _points(monkeypatch)
@@ -537,7 +555,7 @@ class TestCheckAtTheCeiling:
             flat = SurvivalCurve.flat(hazard, t0)
             assert fit.curve == flat and flat == fit.curve
             assert (hash(fit.curve), repr(fit.curve)) == (hash(flat), repr(flat))
-            assert dataclasses.asdict(fit.curve) == dataclasses.asdict(flat)
+            assert fit.curve._asdict() == flat._asdict()
 
     def test_an_anchor_with_no_room_for_the_trial_node_is_rejected(self):
         # at |t0| >= 2**53, t0 + 1 == t0: no flat curve has a node after t0
@@ -724,11 +742,11 @@ def test_equal_but_distinct_objects_are_each_evaluated(monkeypatch):
 
 def test_evaluation_leaves_equality_hash_repr_and_asdict_alone():
     d, s = DiscountCurve((1.0, 3.0), (0.02, 0.03)), SurvivalCurve.flat(0.02)
-    before = [(c, dataclasses.replace(c), hash(c), repr(c), dataclasses.asdict(c)) for c in (d, s)]
+    before = [(c, c._replace(), hash(c), repr(c), c._asdict()) for c in (d, s)]
     curves._grid(d, s, build_schedule(0.0, 5.0, 2))
     for curve, twin, hashed, shown, as_dict in before:
         assert curve == twin and twin == curve
-        assert (hash(curve), repr(curve), dataclasses.asdict(curve)) == (hashed, shown, as_dict)
+        assert (hash(curve), repr(curve), curve._asdict()) == (hashed, shown, as_dict)
 
 
 def test_a_failed_evaluation_stores_nothing():

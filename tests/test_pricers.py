@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -363,7 +362,7 @@ class TestMtmProfile:
             with monkeypatch.context() as patched:
                 patched.setattr(replication, "_mtm_values", loop)
                 # fresh curves: the report's table is kept on the market's grid
-                fresh = dataclasses.replace(m.discount), dataclasses.replace(m.survival)
+                fresh = m.discount._replace(), m.survival._replace()
                 reference = replication_report(*fresh, m.schedule, m.bond, repo, False)
             assert repr(report) == repr(reference)  # repr round-trips every float exactly
 
