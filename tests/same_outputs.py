@@ -5,6 +5,9 @@
 
 ROOT is a checkout of this repository. Its `src` and `bench` directories go
 first on sys.path, so the package and the benchmark's inputs are ROOT's own.
+PARENT and CHANGE are each a checkout or a git revision of this repository, made
+into a side as `tests/ab.py` makes its sides: a revision is exported with
+`git archive` into a temporary directory.
 The script prints one JSON line:
 - the `workloads.digest` of the outputs of every `book-short` and `book-long`
   op of seeds 1-2, per workload, without their Monte Carlo result (`"mc"`),
@@ -45,6 +48,8 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+from ab import side
 
 BOOK_SEEDS = (1, 2)
 CLI_SEEDS = range(1, 7)
@@ -171,14 +176,15 @@ def compare(parent: Path, change: Path) -> list[str]:
 
 
 if __name__ == "__main__":
-    roots = [Path(arg).resolve() for arg in sys.argv[1:]]
-    if len(roots) == 1:
-        line = main(roots[0])
+    if len(sys.argv) == 2:
+        line = main(Path(sys.argv[1]).resolve())
         print(json.dumps(line))
         if not line["memo-order"]["same-as-in-order"]:
             sys.exit("the memo-order digest differs from the in-order one")
-    elif len(roots) == 2:
-        differ = compare(*roots)
+    elif len(sys.argv) == 3:
+        with tempfile.TemporaryDirectory() as directory:
+            differ = compare(*(side(spec, Path(directory) / name)[0]
+                               for spec, name in zip(sys.argv[1:], ("parent", "change"))))
         if differ:
             sys.exit(f"digests differ: {', '.join(differ)}")
     else:

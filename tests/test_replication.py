@@ -860,13 +860,12 @@ def _long_market(rng, periods, frequency=12):
     )
 
 
-def test_report_residuals_are_the_ledger_residuals_exactly():
-    # the report sums each scenario's slice of one cashflow table; portfolio_ledger
-    # materializes the same slice, so the two residuals agree bit for bit
+def _ledger_deals():
+    """The 243 markets and deals, seed 2024, of the ledger comparison, in order, each
+    on fresh curves: (discount, survival, schedule, bond, repo, clause)."""
     rng = random.Random(2024)
     markets = [random_market(rng) for _ in range(240)]
     markets += [_long_market(rng, periods) for periods in (120, 128, 136)]
-    compared = 0
     for i, (discount, survival, schedule, bond) in enumerate(markets):
         n = schedule.n_periods
         spread = rng.uniform(-0.01, 0.02)
@@ -878,6 +877,14 @@ def test_report_residuals_are_the_ledger_residuals_exactly():
             maturity = schedule.dates[rng.randrange(n - 1)]
             forward = rng.uniform(0.9, 1.1) if kind == 3 else None
             repo = RepoSpec(spread, maturity=maturity, forward_price=forward)
+        yield discount, survival, schedule, bond, repo, clause
+
+
+def test_report_residuals_are_the_ledger_residuals_exactly():
+    # the report sums each scenario's slice of one cashflow table; portfolio_ledger
+    # materializes the same slice, so the two residuals agree bit for bit
+    compared = 0
+    for discount, survival, schedule, bond, repo, clause in _ledger_deals():
         report = replication_report(discount, survival, schedule, bond, repo, clause)
         scenarios = enumerate_scenarios(survival, schedule)
         for scenario, row in zip(scenarios, report.scenarios, strict=True):
@@ -897,7 +904,11 @@ def test_report_residuals_take_the_batched_pass(monkeypatch):
         raise AssertionError("the report fell back to _exact_parts")
 
     monkeypatch.setattr(replication, "_exact_parts", refused)
-    test_report_residuals_are_the_ledger_residuals_exactly()  # fresh curves: tables built
+    deals = 0
+    for deal in _ledger_deals():  # fresh curves: every table is built
+        replication_report(*deal)
+        deals += 1
+    assert deals == 243
 
 
 def test_a_market_that_fails_the_proof_keeps_its_bits(monkeypatch):
