@@ -117,25 +117,6 @@ def _exp_integrals(
     return values
 
 
-def _memo(curve, schedule: Schedule, evaluate):
-    """evaluate(curve, schedule), kept on the curve as its last evaluation (schedule, values).
-
-    A call hits only when the stored schedule is the very object passed in: the
-    memo holds it, so its identity cannot be reused, and values are never
-    compared. An evaluation that raises stores nothing. The memo is a plain
-    attribute set past the frozen record, so it stays out of ==, hash, repr,
-    _fields, _asdict and _replace, and dies with the curve. Its one store of a
-    tuple (and _Grid.kept's, for a grid's sums) keeps the curve safe to share
-    across threads: a race only evaluates twice.
-    """
-    last = getattr(curve, "_last", None)
-    if last is not None and last[0] is schedule:
-        return last[1]
-    values = evaluate(curve, schedule)
-    object.__setattr__(curve, "_last", (schedule, values))
-    return values
-
-
 class DiscountCurve(Record):
     """Deterministic discount curve P(t0, t) = exp(-integral of the forward rate).
 
@@ -159,10 +140,6 @@ class DiscountCurve(Record):
     def _at(self, times: Sequence[float]) -> list[float]:
         """P at each of the ascending times."""
         return _exp_integrals("discount", self.t0, self.node_times, self.fwd_rates, times)
-
-    def _on(self, schedule: Schedule) -> _Grid:
-        """The riskless grid on the schedule, P checked positive; evaluated once per schedule."""
-        return _memo(self, schedule, _discount_on)
 
     def discount_factor(self, t: float) -> float:
         return self._at((_real("t", t),))[0]
@@ -198,23 +175,9 @@ class SurvivalCurve(Record):
     def flat(cls, hazard: float, t0: float = 0.0) -> "SurvivalCurve":
         return cls(node_times=(_real("t0", t0) + 1.0,), hazards=(hazard,), t0=t0)
 
-    @classmethod
-    def _trial(cls, hazard: float, t0: float) -> "SurvivalCurve":
-        """flat(hazard, t0) without its checks, for the fit's points alone: the fit checks
-        its inputs once, and t0 (the discount curve's) and each hazard it tries are floats."""
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "node_times", (t0 + 1.0,))
-        object.__setattr__(curve, "hazards", (hazard,))
-        object.__setattr__(curve, "t0", t0)
-        return curve
-
     def _at(self, times: Sequence[float]) -> list[float]:
         """Q at each of the ascending times."""
         return _exp_integrals("survival", self.t0, self.node_times, self.hazards, times)
-
-    def _on(self, schedule: Schedule) -> _Pair:
-        """(Q, dq) on the schedule (see _Grid); evaluated once per schedule."""
-        return _memo(self, schedule, _survival_on)
 
     def survival_prob(self, t: float) -> float:
         return self._at((_real("t", t),))[0]
@@ -225,7 +188,7 @@ class _Grid(NamedTuple):
 
     p and q hold P and Q at [t0, t_1, ..., t_N]; theta, eps and dq hold periods 1..N: the
     accrual, the fixing (eps_k theta_k = P_{k-1} / P_k - 1) and the default law Q_{k-1} - Q_k.
-    A grid from _grid shares the curves' memoized tuples, and sums keeps what is derived
+    A grid from _grid is the one its curve keeps (_memo), and sums keeps what is derived
     from it (kept).
     """
 
@@ -266,9 +229,6 @@ def _same(stored, given) -> bool:
     return stored is given or (type(stored) is type(given) and repr(stored) == repr(given))
 
 
-_Pair = tuple[tuple[float, ...], tuple[float, ...]]  # (Q, dq) on one schedule
-
-
 def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedule) -> list[float]:
     """The curve at [t0, t_1, ..., t_N]; a curve anchored away from the schedule's t0
     raises InconsistentSpecs, since every pricer reads P and Q at the schedule's t0 as 1."""
@@ -279,14 +239,16 @@ def _values_on(curve: DiscountCurve | SurvivalCurve, name: str, schedule: Schedu
 
 
 def _discount_on(discount: DiscountCurve, schedule: Schedule) -> _Grid:
+    """The riskless grid on the schedule (theta, P and eps), P checked positive."""
     p = tuple(_values_on(discount, "discount", schedule))
     if not all(df > 0.0 for df in p):
         raise DegenerateAnnuity("a discount factor on the payment grid is not positive")
     eps = tuple([(p0 / p1 - 1.0) / th for p0, p1, th in zip(p, p[1:], schedule.accruals)])
-    return _riskless(_Grid(schedule.accruals, p, (), eps, (), {}))  # theta, P and eps
+    return _riskless(_Grid(schedule.accruals, p, (), eps, (), {}))
 
 
-def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> _Pair:
+def _survival_on(survival: SurvivalCurve, schedule: Schedule) -> tuple[tuple, tuple]:
+    """(Q, dq) on the schedule (see _Grid)."""
     q = tuple(_values_on(survival, "survival", schedule))
     return q, tuple([q0 - q1 for q0, q1 in zip(q, q[1:])])
 
@@ -296,21 +258,37 @@ def _riskless(g: _Grid, _=None) -> _Grid:
     return _Grid(g.theta, g.p, (1.0,) * len(g.p), g.eps, (0.0,) * len(g.eps), {})
 
 
-def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
-    """theta, P, Q, eps and dq of the market, each curve evaluated once per schedule
-    (_memo); no survival curve means the riskless grid, which the discount curve's memo
-    holds. The risky grid is kept on the survival curve and returned again while its P
-    and Q are the memos' very tuples, so the sums it keeps (_Grid.kept) are derived once
-    per market; it keeps the riskless grid as its twin (_riskless)."""
-    riskless = discount._on(schedule)
-    if survival is None:
-        return riskless
-    q, dq = survival._on(schedule)
-    g = getattr(survival, "_last_grid", None)
-    if g is None or g.p is not riskless.p or g.q is not q:
+def _memo(curve, schedule: Schedule, riskless: _Grid | None) -> _Grid:
+    """The curve's grid on the schedule, kept on the curve as its last (schedule, riskless, grid):
+    the discount curve's riskless grid (riskless None), or the survival curve's risky grid,
+    which extends riskless with Q and dq and keeps it as its twin (_riskless).
+
+    A call hits only when the stored schedule and riskless grid are the very objects passed
+    in: the memo holds them, so their identities cannot be reused, and values are never
+    compared. An evaluation that raises stores nothing. The memo is a plain attribute set
+    past the frozen record, so it stays out of ==, hash, repr, _fields, _asdict and
+    _replace, and dies with the curve. Its one store of a tuple (and _Grid.kept's, for a
+    grid's sums) keeps the curve safe to share across threads: a race only evaluates twice.
+    """
+    last = getattr(curve, "_last", None)
+    if last is not None and last[0] is schedule and last[1] is riskless:
+        return last[2]
+    if riskless is None:
+        g = _discount_on(curve, schedule)
+    else:
+        q, dq = _survival_on(curve, schedule)
         g = _Grid(schedule.accruals, riskless.p, q, riskless.eps, dq, {_riskless: (None, riskless)})
-        object.__setattr__(survival, "_last_grid", g)
+    object.__setattr__(curve, "_last", (schedule, riskless, g))
     return g
+
+
+def _grid(discount: DiscountCurve, survival: SurvivalCurve | None, schedule: Schedule) -> _Grid:
+    """theta, P, Q, eps and dq of the market, each curve evaluated once per schedule (_memo);
+    no survival curve means the riskless grid. The risky grid is returned again while the
+    discount curve's memo holds the riskless grid it extends, so the sums it keeps
+    (_Grid.kept) are derived once per market."""
+    riskless = _memo(discount, schedule, None)
+    return riskless if survival is None else _memo(survival, schedule, riskless)
 
 
 class DefaultDistribution(Record):
@@ -337,14 +315,19 @@ class DefaultDistribution(Record):
 
 
 def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDistribution:
-    """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k)."""
-    q, dq = curve._on(schedule)
+    """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k), read from the
+    curve's kept grid when it is on this very schedule, else evaluated and not kept."""
+    last = getattr(curve, "_last", None)
+    if last is not None and last[0] is schedule:
+        q, dq = last[2].q, last[2].dq
+    else:
+        q, dq = _survival_on(curve, schedule)
     return DefaultDistribution(dq, q[-1])
 
 
 def forward_fixings(discount: DiscountCurve, schedule: Schedule) -> tuple[float, ...]:
     """Floating fixing of each period: set at t_{k-1}, paid at t_k."""
-    return discount._on(schedule).eps
+    return _grid(discount, None, schedule).eps
 
 
 class _Fit(NamedTuple):
@@ -412,7 +395,7 @@ def _calibrate_flat_hazard(
     least the tolerance is followed by the check at h = 10, which raises
     QuoteUnattainable when s(10) is below the quote too (a first point at h = 10
     is its own check). Each point prices s on the pricers' grid, so the curve
-    returned keeps its Q (_memo). A point may price above the pricers' cap on a
+    returned keeps its grid (_memo). A point may price above the pricers' cap on a
     par spread (_MAX_PAR_SPREAD), which still proves the quote attainable; only
     the spread returned must lie under it. A step takes its slope from dQ_k/dh =
     -(t_k - t0) Q_k (_slope_weights, formed at the first step), and a step leaving
@@ -430,12 +413,10 @@ def _calibrate_flat_hazard(
         raise ValueError("recovery must lie in [0, 1)")
     lgd = 1.0 - recovery
     grid = _grid(discount, None, schedule)
-    if not discount.t0 + 1.0 > discount.t0:  # the trial curves' node t0 + 1 must follow t0
-        raise ValueError("node times must be strictly increasing and after t0")
 
     def evaluate(hazard: float):
         """The curve at this hazard, its grid and its par spread, uncapped."""
-        curve = SurvivalCurve._trial(hazard, discount.t0)
+        curve = SurvivalCurve.flat(hazard, discount.t0)
         g = _grid(discount, curve, schedule)
         return curve, g, _par_cds(g, recovery, math.inf)
 

@@ -61,7 +61,7 @@ MEMO_ORDER_SEED = 24  # the shuffle of memo_order
 
 def evict(spec, market):
     """The market's curves priced on the one-period schedule to its maturity: a call
-    that replaces both curve memos and the survival curve's grid."""
+    that replaces each curve's memo, its last grid, with a grid on that schedule."""
     import cdsreplica
 
     one_period = cdsreplica.Schedule(0.0, (spec.maturity,))

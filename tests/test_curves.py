@@ -740,6 +740,20 @@ def test_equal_but_distinct_objects_are_each_evaluated(monkeypatch):
     assert counts == {"discount": 3, "survival": 3}
 
 
+def test_a_law_on_another_schedule_leaves_the_kept_grid(monkeypatch):
+    # default_distribution reads the survival curve's grid only on that very schedule;
+    # on another it evaluates Q and stores nothing, so the first market still hits
+    counts = _count_evaluations(monkeypatch)
+    d, s = DiscountCurve.flat(0.02), SurvivalCurve.flat(0.03)
+    g1, g2 = build_schedule(0.0, 5.0, 1), build_schedule(0.0, 10.0, 4)
+    first = par_cds_spread(d, s, g1, 0.4)
+    law = default_distribution(s, g2)
+    again = par_cds_spread(d, s, g1, 0.4)
+    assert counts == {"discount": 1, "survival": 2}
+    assert again == first
+    assert law == default_distribution(SurvivalCurve.flat(0.03), g2)
+
+
 def test_evaluation_leaves_equality_hash_repr_and_asdict_alone():
     d, s = DiscountCurve((1.0, 3.0), (0.02, 0.03)), SurvivalCurve.flat(0.02)
     before = [(c, c._replace(), hash(c), repr(c), c._asdict()) for c in (d, s)]
@@ -747,6 +761,10 @@ def test_evaluation_leaves_equality_hash_repr_and_asdict_alone():
     for curve, twin, hashed, shown, as_dict in before:
         assert curve == twin and twin == curve
         assert (hash(curve), repr(curve), curve._asdict()) == (hashed, shown, as_dict)
+    # each curve holds one memo, its last grid: a fit and a law on another schedule add none
+    fitted = curves.calibrate_flat_hazard(d, build_schedule(0.0, 5.0, 2), 0.012, 0.4)
+    default_distribution(s, build_schedule(0.0, 10.0, 4))
+    assert [len(set(vars(c)) - set(c._fields)) for c in (d, s, fitted)] == [1, 1, 1]
 
 
 def test_a_failed_evaluation_stores_nothing():
