@@ -258,6 +258,14 @@ def _riskless(g: _Grid, _=None) -> _Grid:
     return _Grid(g.theta, g.p, (1.0,) * len(g.p), g.eps, (0.0,) * len(g.eps), {})
 
 
+def _check_slot(curve, kind: type, slot: str) -> None:
+    """InconsistentSpecs unless curve is a kind: a discount curve's rates are no hazards
+    (they may be negative) and its kept grid holds no Q, so in the other slot it would price."""
+    if not isinstance(curve, kind):
+        raise InconsistentSpecs(f"the {slot} curve must be a {kind.__name__}, "
+                                f"got {type(curve).__name__}")
+
+
 def _memo(curve, schedule: Schedule, riskless: _Grid | None) -> _Grid:
     """The curve's grid on the schedule, kept on the curve as its last (schedule, riskless, grid):
     the discount curve's riskless grid (riskless None), or the survival curve's risky grid,
@@ -265,8 +273,10 @@ def _memo(curve, schedule: Schedule, riskless: _Grid | None) -> _Grid:
 
     A call hits only when the stored schedule and riskless grid are the very objects passed
     in: the memo holds them, so their identities cannot be reused, and values are never
-    compared. An evaluation that raises stores nothing. The memo is a plain attribute set
-    past the frozen record, so it stays out of ==, hash, repr, _fields, _asdict and
+    compared. A miss first checks the curve's class against its slot (_check_slot), so a
+    hit, which only a curve stored from its own slot can give, costs nothing more. An
+    evaluation that raises stores nothing. The memo is a plain attribute set past the
+    frozen record, so it stays out of ==, hash, repr, _fields, _asdict and
     _replace, and dies with the curve. Its one store of a tuple (and _Grid.kept's, for a
     grid's sums) keeps the curve safe to share across threads: a race only evaluates twice.
     """
@@ -274,8 +284,10 @@ def _memo(curve, schedule: Schedule, riskless: _Grid | None) -> _Grid:
     if last is not None and last[0] is schedule and last[1] is riskless:
         return last[2]
     if riskless is None:
+        _check_slot(curve, DiscountCurve, "discount")
         g = _discount_on(curve, schedule)
     else:
+        _check_slot(curve, SurvivalCurve, "survival")
         q, dq = _survival_on(curve, schedule)
         g = _Grid(schedule.accruals, riskless.p, q, riskless.eps, dq, {_riskless: (None, riskless)})
     object.__setattr__(curve, "_last", (schedule, riskless, g))
@@ -316,7 +328,9 @@ class DefaultDistribution(Record):
 
 def default_distribution(curve: SurvivalCurve, schedule: Schedule) -> DefaultDistribution:
     """Bucket the default time onto the schedule: p_k = Q(t_{k-1}) - Q(t_k), read from the
-    curve's kept grid when it is on this very schedule, else evaluated and not kept."""
+    curve's kept grid when it is on this very schedule, else evaluated and not kept. The
+    curve must be a SurvivalCurve (_check_slot): a discount curve's kept grid holds no Q."""
+    _check_slot(curve, SurvivalCurve, "survival")
     last = getattr(curve, "_last", None)
     if last is not None and last[0] is schedule:
         q, dq = last[2].q, last[2].dq

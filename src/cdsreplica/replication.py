@@ -12,8 +12,8 @@ leg); the two rows net to -LGD * (1 + eps * theta), identical to the CDS
 payout. Booking them gross keeps each leg's enumerated value equal to its
 instrument's price.
 
-Every scenario's ledger is a slice of one per-market cashflow table, held
-as four blocks of per-leg columns of terms:
+The report sums every scenario over a slice of one per-market cashflow table,
+held as four blocks of per-leg columns of terms:
 - the opening at t0: a bond, a repo and an asset swap column of one entry;
 - the coupons of periods 1..L: a bond, a repo, an asset swap and a CDS
   column, entry k paid at t_k;
@@ -23,12 +23,15 @@ as four blocks of per-leg columns of terms:
 - the survival unwind at t_L: a bond and a repo column of one entry.
 A default in bucket b sees the opening, the coupons before b and its
 settlement; survival sees the opening, every coupon and the unwind. Each
-amount is booked times the weight of its date. The report books P, so its
-table holds discounted terms, and a scenario residual is one exact sum over
-its slice, with the CDS negated: the prefix sums the scenarios share are
-formed once and proved exact in one pass (_CashflowTable.residuals), and the
-terms are checked for finiteness only when a sum is not. The ledger books
-ones, and discounts its entries apart, through the discount curve.
+amount is booked times P at its date, and a scenario residual is one exact
+sum over its slice, with the CDS negated: the prefix sums the scenarios share
+are formed once and proved exact in one pass (_CashflowTable.residuals), and
+the terms are checked for finiteness only when a sum is not.
+
+portfolio_ledger, the reference the table is checked against, writes one
+scenario's cashflows apart, from the term sheet, the curve's forward rates
+and the public pricers. It shares with the table only the repo resolved onto
+the grid (_repo_on_grid) and the close-out rule (_check_close_out).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import mul, neg
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from ._record import Record
 from .curves import (
@@ -59,6 +62,8 @@ from .pricers import (
     _par_cancelable,
     _repo_on_grid,
     _risky_bond,
+    mtm_profile,
+    price_risky_bond,
 )
 from .schedule import Schedule, _is_integer, _real
 
@@ -208,19 +213,11 @@ def _signed(leg: Leg, terms: list[float]) -> list[float]:
 
 
 class _CashflowTable(NamedTuple):
-    """Every cashflow of one market, each written down once, as four blocks of per-leg columns.
-
-    opening holds the bond, repo and asset swap terms at t0; periods holds
-    the bond, repo, asset swap and CDS columns of the coupons of periods 1..L;
-    settlements holds the bond, repo, asset swap (with the clause off only)
-    and CDS columns of the settlement of a default in bucket b = 1..L, paid at
-    t_b; unwind holds the bond and repo terms at t_L, the survival unwind.
-    A term is its amount times the weight of its date (_cashflow_table): a
-    discounted cashflow in the report's table, the amount itself in a ledger's.
-    """
+    """Every discounted cashflow of one market, written once, as the four blocks of per-leg
+    columns the module describes: opening, periods, settlements and unwind."""
 
     last: int  # L: the periods the repo runs
-    times: tuple[float, ...]  # t0, t_1, ..., t_N
+    n_periods: int  # N: the periods of the schedule
     opening: list[_Column]
     periods: list[_Column]
     settlements: list[_Column]
@@ -228,23 +225,6 @@ class _CashflowTable(NamedTuple):
     forward_price: float  # the deal the table books: X and the two spreads
     asw_spread: float
     cds_spread: float
-
-    def entries(self, bucket: int | None) -> tuple[CashflowEntry, ...]:
-        """Survival, or a default after the unwind, sees the opening, every period
-        and the unwind; a default in bucket b sees the opening, the periods before
-        b and its settlement. A bucket that is not an integer (_is_integer) in
-        1..N raises InconsistentSpecs."""
-        t, last = self.times, self.last
-        if bucket is not None and (not _is_integer(bucket) or not 1 <= bucket < len(t)):
-            raise InconsistentSpecs(f"default bucket {bucket} is not in 1..{len(t) - 1}")
-        defaulted = bucket is not None and bucket <= last
-        survived = bucket - 1 if defaulted else last
-        rows = [  # (block, k, j): entry j of each column of the block, paid at t_k
-            (self.opening, 0, 0),
-            *((self.periods, k, k - 1) for k in range(1, survived + 1)),
-            (self.settlements, bucket, bucket - 1) if defaulted else (self.unwind, last, 0),
-        ]
-        return tuple(CashflowEntry(t[k], leg, a[j]) for block, k, j in rows for leg, a in block)
 
     def residuals(self) -> list[float]:
         """Residuals of default buckets 1..N, then of survival, over the terms of their entries.
@@ -285,62 +265,55 @@ class _CashflowTable(NamedTuple):
                 residuals.append(fsum([*prefix, *settlement]))
                 prefix = _exact_parts([*prefix, *period])
             residuals.append(fsum([*prefix, *unwind]))
-        return residuals + residuals[-1:] * (len(self.times) - last - 1)
+        return residuals + residuals[-1:] * (self.n_periods - last)
 
 
-def _cashflow_table(
-    g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool,
-    weights: Sequence[float], spreads: tuple[float, float] | None = None,
-) -> _CashflowTable:
-    """The O(L) terms behind all N + 1 scenario ledgers, for the repo resolved onto the grid.
-
-    Each amount is booked times weights[k], the weight of its date t_k (t0 first),
-    in the expression that forms it, so c * theta * P is (c * theta) * P: the report
-    books P, so each term is discounted as it is born, and portfolio_ledger books
-    ones, so each term is its amount (x * 1.0 == x). spreads is (asw, cds); None
-    means the par spread of the swap actually traded, with the CDS at that spread
-    plus the repo spread.
-    """
-    last, fair, fwd_price = _repo_on_grid(g, schedule, bond, repo)
+def _check_close_out(clause_enabled: bool, last: int, schedule: Schedule) -> None:
+    """Without the clause the swap is closed out at its mark-to-market on default, which
+    is defined only while the swap runs to the bond's maturity: with the repo, to t_N."""
     if not clause_enabled and last < schedule.n_periods:
         raise InconsistentSpecs(
             "close-out at default (no clause) is only defined for a repo to maturity"
         )
-    if spreads is None:
-        par = _par_cancelable(g, bond, last, fwd_price) if clause_enabled else _par_asw(g, bond)
-        spreads = par.spread, par.spread + repo.spread
-    asw_spread, cds_spread = spreads
+
+
+def _cashflow_table(
+    g: _Grid, schedule: Schedule, bond: BondSpec, repo: RepoSpec, clause_enabled: bool
+) -> _CashflowTable:
+    """The O(L) terms behind all N + 1 scenario residuals, for the repo resolved onto the
+    grid, at the par spread of the swap actually traded and the CDS at that spread plus the
+    repo spread. Each amount is booked times P at its date t_k in the expression that forms
+    it, so c * theta * P is (c * theta) * P: each term is discounted as it is born.
+    """
+    last, fair, fwd_price = _repo_on_grid(g, schedule, bond, repo)
+    _check_close_out(clause_enabled, last, schedule)
+    par = _par_cancelable(g, bond, last, fwd_price) if clause_enabled else _par_asw(g, bond)
+    asw_spread, cds_spread = par.spread, par.spread + repo.spread
     terminal_price = _finite("forward bond price", fair)
     bond_price = _finite("bond price", _risky_bond(g, bond))
-    lgd = bond.lgd
     mtm_values = None if clause_enabled else _mtm_values(g, bond.coupon, asw_spread)
-    asw_spread = _finite("asw spread", asw_spread)
-    cds_spread = _finite("cds spread", cds_spread)
-    theta, eps, ws = g.theta[:last], g.eps[:last], weights[1 : last + 1]  # ws: t_1..t_L
-    coupon, recovery, spread = bond.coupon, bond.recovery, repo.spread
+    theta, eps, ps = g.theta[:last], g.eps[:last], g.p[1 : last + 1]  # ps: P at t_1..t_L
+    coupon, recovery, lgd, spread = bond.coupon, bond.recovery, bond.lgd, repo.spread
     rolled = [1.0 + e * th for e, th in zip(eps, theta)]
     periods = [
-        (Leg.BOND, [coupon * th * w for th, w in zip(theta, ws)]),
-        (Leg.REPO, [(-e + spread) * th * w for e, th, w in zip(eps, theta, ws)]),
+        (Leg.BOND, [coupon * th * p for th, p in zip(theta, ps)]),
+        (Leg.REPO, [(-e + spread) * th * p for e, th, p in zip(eps, theta, ps)]),
         (Leg.ASSET_SWAP,
-         [(-coupon + e + asw_spread) * th * w for e, th, w in zip(eps, theta, ws)]),
-        (Leg.CDS, [cds_spread * th * w for th, w in zip(theta, ws)]),
+         [(-coupon + e + asw_spread) * th * p for e, th, p in zip(eps, theta, ps)]),
+        (Leg.CDS, [cds_spread * th * p for th, p in zip(theta, ps)]),
     ]
     settlements = [
-        (Leg.BOND, [recovery * r * w for r, w in zip(rolled, ws)]),
-        (Leg.REPO, [-r * w for r, w in zip(rolled, ws)]),
-        *([] if mtm_values is None else [(Leg.ASSET_SWAP, list(map(mul, mtm_values, ws)))]),
-        (Leg.CDS, [-lgd * r * w for r, w in zip(rolled, ws)]),
+        (Leg.BOND, [recovery * r * p for r, p in zip(rolled, ps)]),
+        (Leg.REPO, [-r * p for r, p in zip(rolled, ps)]),
+        *([] if mtm_values is None else [(Leg.ASSET_SWAP, list(map(mul, mtm_values, ps)))]),
+        (Leg.CDS, [-lgd * r * p for r, p in zip(rolled, ps)]),
     ]
-    w0, w_last = weights[0], weights[last]
-    opening = [
-        (Leg.BOND, [-bond_price * w0]),
-        (Leg.REPO, [fwd_price * w0]),
-        (Leg.ASSET_SWAP, [(bond_price - fwd_price) * w0]),
-    ]
-    unwind = [(Leg.BOND, [terminal_price * w_last]), (Leg.REPO, [-fwd_price * w_last])]
+    # the opening is at t0, where P is 1: the curves are anchored there (_values_on)
+    opening = [(Leg.BOND, [-bond_price]), (Leg.REPO, [fwd_price]),
+               (Leg.ASSET_SWAP, [bond_price - fwd_price])]
+    unwind = [(Leg.BOND, [terminal_price * g.p[last]]), (Leg.REPO, [-fwd_price * g.p[last]])]
     return _CashflowTable(
-        last, (schedule.t0, *schedule.dates), opening, periods, settlements, unwind,
+        last, schedule.n_periods, opening, periods, settlements, unwind,
         fwd_price, asw_spread, cds_spread,
     )
 
@@ -357,7 +330,7 @@ def _par_table(g: _Grid, key) -> tuple[_CashflowTable, tuple[float, ...]]:
     key = (schedule, clause_enabled, bond, repo); kept on g (_Grid.kept), so a report
     followed by mc_check on one market builds them once, and they die with its curves."""
     schedule, clause_enabled, bond, repo = key
-    table = _cashflow_table(g, schedule, bond, repo, clause_enabled, g.p)
+    table = _cashflow_table(g, schedule, bond, repo, clause_enabled)
     return table, tuple(table.residuals())
 
 
@@ -372,17 +345,44 @@ def portfolio_ledger(
     clause_enabled: bool,
     scenario: DefaultScenario,
 ) -> CashflowLedger:
-    """Materialize every cashflow of the replica and the CDS for one scenario.
+    """Write every cashflow of the replica and the CDS for one scenario, from the term sheet.
 
     The asset swap and the CDS mature with the repo; a default after the repo ends never touches
     the (already unwound) portfolio. The scenario's bucket is None (survival) or an integer in
     1..N, else InconsistentSpecs; spreads are numbers, clause_enabled a bool, else ConfigError.
+    Each fixing is the curve's forward_rate, the bond its price_risky_bond and a close-out its
+    mtm_profile value: nothing here forms a term of the report's table (_cashflow_table).
     """
-    spreads = _real("asw_spread", asw_spread), _real("cds_spread", cds_spread)
+    asw_spread = _finite("asw spread", _real("asw_spread", asw_spread))
+    cds_spread = _finite("cds spread", _real("cds_spread", cds_spread))
     clause_enabled = _clause(clause_enabled)
-    g = _grid(discount, survival, schedule)
-    table = _cashflow_table(g, schedule, bond, repo, clause_enabled, [1.0] * len(g.p), spreads)
-    return CashflowLedger(entries=table.entries(scenario.default_bucket))
+    last, fair, fwd_price = _repo_on_grid(_grid(discount, survival, schedule), schedule, bond, repo)
+    _check_close_out(clause_enabled, last, schedule)
+    bond_price = price_risky_bond(discount, survival, schedule, bond)
+    b, n = scenario.default_bucket, schedule.n_periods
+    if b is not None and (not _is_integer(b) or not 1 <= b <= n):
+        raise InconsistentSpecs(f"default bucket {b} is not in 1..{n}")
+    defaulted = b is not None and b <= last
+    t = (schedule.t0, *schedule.dates)
+    flows = [(t[0], Leg.BOND, -bond_price), (t[0], Leg.REPO, fwd_price),
+             (t[0], Leg.ASSET_SWAP, bond_price - fwd_price)]
+    for k in range(1, (b - 1 if defaulted else last) + 1):  # the coupons paid before default
+        theta, fixing = schedule.accruals[k - 1], discount.forward_rate(t[k - 1], t[k])
+        flows += [(t[k], Leg.BOND, bond.coupon * theta),
+                  (t[k], Leg.REPO, (-fixing + repo.spread) * theta),
+                  (t[k], Leg.ASSET_SWAP, (-bond.coupon + fixing + asw_spread) * theta),
+                  (t[k], Leg.CDS, cds_spread * theta)]
+    if defaulted:  # settled at t_b against the money-market-rolled par claim
+        rolled = 1.0 + discount.forward_rate(t[b - 1], t[b]) * schedule.accruals[b - 1]
+        flows += [(t[b], Leg.BOND, bond.recovery * rolled), (t[b], Leg.REPO, -rolled)]
+        if not clause_enabled:  # the swap is closed out at its mark-to-market
+            close_out = mtm_profile(discount, schedule, bond, asw_spread).values[b - 1]
+            flows.append((t[b], Leg.ASSET_SWAP, close_out))
+        flows.append((t[b], Leg.CDS, -bond.lgd * rolled))
+    else:  # the unwind: the bond, worth its forward price, goes back through the repo at X
+        flows += [(t[last], Leg.BOND, _finite("forward bond price", fair)),
+                  (t[last], Leg.REPO, -fwd_price)]
+    return CashflowLedger(entries=tuple(map(CashflowEntry._make, flows)))
 
 
 def replication_report(

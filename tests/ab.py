@@ -1,6 +1,6 @@
 """Run one probe on two sides of this repository in alternated pairs, and judge the change.
 
-    python tests/ab.py PARENT CHANGE PROBE [--pairs P] [--seed S]
+    python tests/ab.py PARENT CHANGE PROBE [--pairs P] [--seed S] [--claim METRIC]
 
 PARENT and CHANGE are each a directory holding a checkout of this repository, or a
 git revision of the repository this script lives in; a revision is exported with
@@ -22,7 +22,9 @@ PYTHONDONTWRITEBYTECODE=1 every fresh interpreter compiles what it imports. Prog
 goes to stderr; stdout gets one JSON document: `method` (command, order, sides, seed)
 and, under `end_to_end.<workload>` or `layer.<probe>`, for each label both sides' runs,
 medians and quartiles, the change/parent ratio of the medians, the pairs the change won
-and the verdict of `summary`. Only the standard library is used here.
+and the verdict of `summary`; beside them, `claim` (METRIC, or null) and the probe's one
+`verdict` (`overall`). METRIC names an end-to-end metric of the workload, or a label of
+the layer probe. Only the standard library is used here.
 """
 
 from __future__ import annotations
@@ -274,6 +276,20 @@ def summary(parent: list[float], change: list[float], better: str, bound: float 
             "parent_iqr": q3 - q1, "spread": round(spread, 4), "verdict": verdict}
 
 
+def overall(metrics: dict[str, dict], claim: str | None, more_failed: bool) -> str:
+    """The probe's one verdict from its labels' `summary` verdicts, the first that holds:
+    - `regression`: a label reads `regression`, or the change fails a larger share of ops;
+    - `no regression`, when no metric is claimed;
+    - `claim met`: the claimed metric reads `gain`;
+    - `claim not met`.
+    """
+    if more_failed or any(m["verdict"] == "regression" for m in metrics.values()):
+        return "regression"
+    if claim is None:
+        return "no regression"
+    return "claim met" if metrics[claim]["verdict"] == "gain" else "claim not met"
+
+
 def run_json(command: list[str], root: Path) -> dict:
     """The JSON of the last line that COMMAND prints, run in ROOT."""
     run = subprocess.run(command, cwd=root, capture_output=True, text=True)
@@ -304,6 +320,7 @@ def main() -> None:
     parser.add_argument("probe", metavar="PROBE", help="a workload or a layer probe")
     parser.add_argument("--pairs", type=int, default=GAIN_PAIRS, help="alternated pairs to run")
     parser.add_argument("--seed", type=int, default=1, help="the workload's or probe's seed")
+    parser.add_argument("--claim", metavar="METRIC", help="the metric whose gain is claimed")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -315,6 +332,9 @@ def main() -> None:
         benchmark = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in benchmark["workloads"]]
         workload = args.probe in workloads
+        declared = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
+        if workload and args.claim not in (None, *declared):
+            parser.error(f"--claim must be one of {', '.join(declared)}")
         if workload:
             command = [*benchmark["command"], "--workload", args.probe, "--seed", str(args.seed),
                        "--seconds", str(benchmark["run_seconds"]), "--trace", "0"]
@@ -336,18 +356,23 @@ def main() -> None:
         for key in ("failed", "attempted"):
             record[key] = {name: sum(r[key] for r in runs[name]) for name in SIDES}
         record["correct"] = {name: all(r["correct"] for r in runs[name]) for name in SIDES}
-        declared = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
         runs = {name: [{label: r["metrics"][label]["value"] for label in declared}
                        for r in runs[name]] for name in SIDES}
     else:
         declared = dict.fromkeys(runs["parent"][0], ("lower", None))
+        if args.claim not in (None, *declared):
+            parser.error(f"--claim must be one of {', '.join(declared)}")
     record["metrics"] = {label: summary(*([r[label] for r in runs[name]] for name in SIDES), *how)
                          for label, how in declared.items()}
+    more_failed = False
     if workload:  # a gain does not count when a larger share of ops fails
         share = {name: record["failed"][name] / record["attempted"][name] for name in SIDES}
+        more_failed = share["change"] > share["parent"]
         for metric in record["metrics"].values():
-            if metric["verdict"] == "gain" and share["change"] > share["parent"]:
+            if metric["verdict"] == "gain" and more_failed:
                 metric["verdict"] = "no gain: a larger share of ops failed"
+    record["claim"] = args.claim
+    record["verdict"] = overall(record["metrics"], args.claim, more_failed)
     section = "end_to_end" if workload else "layer"
     print(json.dumps({"method": method, section: {args.probe: record}}, indent=1))
 

@@ -59,6 +59,45 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_change_beats_eve
     assert _verdict(parent, [0.0530, 0.0531, 0.0529, 0.0532, 0.0533]) == "within bound"
 
 
+# One label's summary of each kind, on ten synthetic pairs: the change 20% faster in every
+# pair, level with the parent, and 30% slower.
+GAIN = ab.summary([100.0 + i % 3 for i in range(10)], [80.0 + i % 3 for i in range(10)],
+                  "lower", 0.25)
+LEVEL = ab.summary([100.0 + i % 3 for i in range(10)], [100.0 + i % 3 for i in range(10)],
+                   "lower", 0.25)
+WORSE = ab.summary([100.0 + i % 3 for i in range(10)], [130.0 + i % 3 for i in range(10)],
+                   "lower", 0.25)
+
+
+def test_the_synthetic_summaries_read_as_named():
+    assert [s["verdict"] for s in (GAIN, LEVEL, WORSE)] == ["gain", "within bound", "regression"]
+
+
+def test_a_claim_is_met_by_a_gain_of_the_claimed_metric_alone():
+    assert ab.overall({"p50": GAIN, "p90": LEVEL}, "p50", False) == "claim met"
+    assert ab.overall({"p50": LEVEL, "p90": GAIN}, "p50", False) == "claim not met"
+
+
+def test_a_regression_on_the_workload_outweighs_a_met_claim():
+    assert ab.overall({"p50": GAIN, "rss": WORSE}, "p50", False) == "regression"
+    # a larger share of failed ops is a regression too, whatever the metrics read
+    assert ab.overall({"p50": GAIN, "rss": LEVEL}, "p50", True) == "regression"
+
+
+def test_without_a_claim_the_verdict_is_regression_or_not():
+    assert ab.overall({"p50": GAIN, "p90": LEVEL}, None, False) == "no regression"
+    assert ab.overall({"p50": LEVEL, "p90": WORSE}, None, False) == "regression"
+    assert ab.overall({"p50": LEVEL}, None, True) == "regression"
+
+
+def test_a_claim_the_workload_does_not_measure_is_refused_before_any_run(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ab.py", str(ROOT), str(ROOT), "book-short",
+                                      "--claim", "latency_ms_p99"])
+    with pytest.raises(SystemExit):
+        ab.main()
+    assert "--claim must be one of latency_ms_p50" in capsys.readouterr().err
+
+
 def test_an_a_a_run_keeps_the_sides_apart_and_claims_no_gain(monkeypatch, capsys):
     # the cheapest layer probe, this checkout given as both sides
     monkeypatch.setattr(sys, "argv", ["ab.py", str(ROOT), str(ROOT), "report", "--pairs", "1"])
@@ -69,6 +108,15 @@ def test_an_a_a_run_keeps_the_sides_apart_and_claims_no_gain(monkeypatch, capsys
     for label, metric in record["metrics"].items():
         assert len(metric["parent"]["runs"]) == len(metric["change"]["runs"]) == 1, label
         assert metric["verdict"] == "no gain", label
+
+
+def test_an_a_a_run_names_its_claim_and_does_not_meet_it(monkeypatch, capsys):
+    # one pair can show no gain, so a claimed layer label is not met
+    monkeypatch.setattr(sys, "argv", ["ab.py", str(ROOT), str(ROOT), "report", "--pairs", "1",
+                                      "--claim", "report.n40_us"])
+    ab.main()
+    record = json.loads(capsys.readouterr().out)["layer"]["report"]
+    assert (record["claim"], record["verdict"]) == ("report.n40_us", "claim not met")
 
 
 def test_sides_with_different_benchmarks_are_refused(tmp_path):

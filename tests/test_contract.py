@@ -8,7 +8,8 @@ numpy's), text, None, NaN, ±inf, an integer too large for a float, and the vali
 a Fraction, a Decimal, a numpy float32 and, where it is integral, an int. Each call must
 return a result whose numbers are all finite Python floats, or raise ValueError
 (PricingError and ConfigError included); it must never raise TypeError or
-OverflowError. None is valid where the slot's default is None.
+OverflowError. None is valid where the slot's default is None. In each curve slot, a curve
+of the other class must raise InconsistentSpecs, whether or not it was evaluated before.
 
 The survey is finite, so it is run exhaustively rather than sampled.
 """
@@ -27,10 +28,12 @@ from cdsreplica import (
     BondSpec,
     DefaultScenario,
     DiscountCurve,
+    InconsistentSpecs,
     RepoSpec,
     SurvivalCurve,
     build_schedule,
 )
+from cdsreplica.curves import _grid
 
 SCHEDULE = build_schedule(0.0, 5.0, 1)
 DISCOUNT = DiscountCurve((1.0, 3.0), (0.02, 0.025))
@@ -158,3 +161,40 @@ def test_every_scalar_is_a_number_or_refused(name):
             except (TypeError, OverflowError) as exc:
                 pytest.fail(f"{name}({slot}={kind}) raised {type(exc).__name__}: {exc}")
             _check_result(f"{name}({slot}={kind})", result, name)
+
+
+# The curves of the other class for each curve slot, built fresh for every call: a survival
+# curve as the discount curve, and a piecewise and a negative-rate discount curve (a hazard
+# SurvivalCurve refuses) as the survival curve.
+WRONG_CLASS = {
+    "discount": lambda: [SurvivalCurve((2.0, 4.0), (0.02, 0.03))],
+    "survival": lambda: [DiscountCurve((1.0, 3.0), (0.02, 0.025)), DiscountCurve.flat(-0.01)],
+}
+WRONG_CLASS["curve"] = WRONG_CLASS["survival"]
+CURVE_TAKERS = sorted(name for name, call in DRIVEN.items()
+                      if inspect.signature(call).parameters.keys() & WRONG_CLASS.keys())
+
+
+def test_the_curve_takers_are_found_by_their_signatures():
+    # 23 at this writing; a new public callable that takes a curve joins without an edit
+    assert {"default_distribution", "forward_fixings", "par_cds_spread", "portfolio_ledger",
+            "price_sheet", "replication_report", "mc_check"} <= set(CURVE_TAKERS)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "evaluated"])
+@pytest.mark.parametrize("name", CURVE_TAKERS)
+def test_a_curve_in_the_wrong_slot_is_refused(name, warm):
+    # a curve once evaluated in its own slot keeps that grid (curves._memo), which the
+    # wrong slot must not read as its own
+    call = DRIVEN[name]
+    parameters = inspect.signature(call).parameters
+    valid = {p: VALID[p] for p in parameters}
+    for slot in sorted(parameters.keys() & WRONG_CLASS.keys()):
+        for wrong in WRONG_CLASS[slot]():
+            if warm:
+                _grid(*((DISCOUNT, wrong) if slot == "discount" else (wrong, None)), SCHEDULE)
+            given, expected = type(wrong).__name__, "survival" if slot == "curve" else slot
+            kind = "DiscountCurve" if expected == "discount" else "SurvivalCurve"
+            match = f"^the {expected} curve must be a {kind}, got {given}$"
+            with pytest.raises(InconsistentSpecs, match=match):
+                call(**{**valid, slot: wrong})

@@ -152,6 +152,21 @@ class TestForwardRate:
         with pytest.raises(TimeBeforeAnchor):
             DiscountCurve.flat(0.02).forward_rate(-1.0, 1.0)
 
+    def test_each_period_is_the_grids_fixing_bit_for_bit(self):
+        # a piecewise curve on a quarterly grid: every period after the first starts off 0
+        curve = DiscountCurve((1.0, 2.5, 4.0), (0.01, 0.03, 0.045))
+        schedule = build_schedule(0.0, 5.0, 4)
+        fixings = forward_fixings(curve, schedule)
+        times = (schedule.t0, *schedule.dates)
+        for k in range(1, schedule.n_periods + 1):
+            assert curve.forward_rate(times[k - 1], times[k]).hex() == fixings[k - 1].hex(), k
+
+    def test_an_interval_off_the_nodes(self):
+        # (0.7, 2.3] starts inside the first segment and ends inside the second
+        curve = DiscountCurve((1.0, 3.0), (0.02, 0.025))
+        growth = math.exp(0.02 * 0.3 + 0.025 * 1.3)  # P(0.7) / P(2.3)
+        assert curve.forward_rate(0.7, 2.3) == pytest.approx((growth - 1.0) / 1.6, rel=1e-14)
+
 
 class TestAnchors:
     """Every pricer reads P and Q from the schedule's t0, so each curve must be anchored there."""
@@ -442,6 +457,27 @@ class TestFirstGuess:
         assert abs(fit.spread - quote) < 1e-12
         assert fit.spread == par_cds_spread(discount, fit.curve, IRREGULAR, 0.4).spread
         assert fit.iterations > 1  # the mean accrual makes the guess approximate here
+
+
+class TestIrregularFit:
+    """Fits on IRREGULAR, where the first guess is only near the root, so Newton steps and
+    the check at h = 10 are reached: a flat 2% discount curve, recovery 0.4."""
+
+    DISCOUNT = DiscountCurve.flat(0.02)
+
+    @pytest.mark.parametrize("quote", [0.005, 0.0185, 0.05])
+    def test_a_fit_takes_few_points(self, quote):
+        # measured 3, 3 and 4 points, and at most 4 over 400 quotes log-spaced in [1e-5, 1];
+        # a step of hazard - residual * slope took 33-37
+        fit = _calibrate_flat_hazard(self.DISCOUNT, IRREGULAR, quote, 0.4)
+        assert abs(fit.spread - quote) < 1e-12
+        assert fit.iterations <= 5
+
+    def test_a_quote_just_above_the_ceiling_is_unattainable(self):
+        # the first point prices below the quote, so the fit checks h = 10 and must refuse
+        ceiling = par_cds_spread(self.DISCOUNT, SurvivalCurve.flat(10.0), IRREGULAR, 0.4).spread
+        with pytest.raises(QuoteUnattainable, match="exceeds the spread attainable at hazard 10"):
+            _calibrate_flat_hazard(self.DISCOUNT, IRREGULAR, ceiling * (1.0 + 1e-6), 0.4)
 
 
 def _points(monkeypatch):

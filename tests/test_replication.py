@@ -1,6 +1,9 @@
+import ast
+import inspect
 import math
 import random
 import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -804,7 +807,7 @@ def _table(opening, periods, settlements, unwind):
 
     last = len(periods[0])
     return replication._CashflowTable(
-        last=last, times=tuple(map(float, range(last + 1))),
+        last=last, n_periods=last,
         opening=block(*opening), periods=block(*periods), settlements=block(*settlements),
         unwind=block(*unwind), forward_price=1.0, asw_spread=0.0, cds_spread=0.0,
     )
@@ -820,18 +823,27 @@ def test_residuals_carry_what_a_prefix_sum_rounds_away():
         settlements=([-1e16, -1e16, 0.0], [0.0, -2.0, -0.0]),
         unwind=([7.0], [-1e16]),
     )
-    expected = [math.fsum(e.amount for e in table.entries(bucket)) for bucket in (1, 2, 3, None)]
+    expected = _slice_sums(table)  # buckets 1, 2, 3, then survival
     assert expected[1] == 1e-300  # the part a prefix kept as its head alone would lose
     assert table.residuals() == expected
 
 
 def _slice_sums(table):
     """math.fsum over each scenario's whole slice of the table's terms, the CDS negated:
-    default buckets 1..N, then survival."""
-    return [
-        math.fsum(-e.amount if e.leg is Leg.CDS else e.amount for e in table.entries(bucket))
-        for bucket in (*range(1, len(table.times)), None)
+    default buckets 1..N, then survival. A default in bucket b <= L sees the opening, the
+    periods before b and its settlement; survival, and a default after the repo ends, the
+    opening, every period and the unwind."""
+    def terms(*rows):  # each row (block, j): entry j of each column of the block
+        return [-a[j] if leg is Leg.CDS else a[j] for block, j in rows for leg, a in block]
+
+    head = [(table.opening, 0)]
+    defaults = [
+        terms(*head, *((table.periods, j) for j in range(b)), (table.settlements, b))
+        for b in range(table.last)
     ]
+    survival = terms(*head, *((table.periods, j) for j in range(table.last)), (table.unwind, 0))
+    survivals = [survival] * (table.n_periods - table.last + 1)
+    return [math.fsum(slice_) for slice_ in defaults + survivals]
 
 
 def test_residuals_carry_what_the_opening_sum_rounds_away():
@@ -895,6 +907,17 @@ def test_report_residuals_are_the_ledger_residuals_exactly():
             assert row.residual == ledger.residual(discount)
             compared += 1
     assert compared > 5000
+
+
+def test_the_ledger_writer_forms_no_term_of_the_table():
+    # portfolio_ledger is the reference the report's residuals are compared with above:
+    # it must reach neither the table nor the grid sums the table's terms are formed from
+    tree = ast.parse(textwrap.dedent(inspect.getsource(replication.portfolio_ledger)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"forward_rate", "price_risky_bond", "mtm_profile"} <= names
+    assert not names & {"_cashflow_table", "_CashflowTable", "_par_table", "_mtm_values",
+                        "_risky_bond", "kept"}
 
 
 def test_report_residuals_take_the_batched_pass(monkeypatch):
@@ -966,12 +989,13 @@ def test_a_report_names_the_term_that_overflows(market, clause, message):
 )
 def test_a_table_names_the_term_that_overflows(rate, row, clause):
     discount, survival = DiscountCurve.flat(rate), SurvivalCurve.flat(0.02)
-    schedule = build_schedule(0.0, 5.0, 1)
+    schedule, bond, repo = build_schedule(0.0, 5.0, 1), BondSpec(0.05, 0.4), RepoSpec(0.001)
+    replication_report(discount, survival, schedule, bond, repo, clause)
+    # the weight is P at t_2; the grid's kept sums, copied, give the market's own par
+    # spread and bond price, so only the terms booked at t_2 meet it
     g = _grid(discount, survival, schedule)
-    weights = [*g.p[:2], 1e308, *g.p[3:]]
-    table = replication._cashflow_table(
-        g, schedule, BondSpec(0.05, 0.4), RepoSpec(0.001), clause, weights
-    )
+    weighted = g._replace(p=(*g.p[:2], 1e308, *g.p[3:]), sums=dict(g.sums))
+    table = replication._cashflow_table(weighted, schedule, bond, repo, clause)
     repo_coupons = table.periods[1][1]
     assert (not all(map(math.isfinite, repo_coupons))) == (row == "coupon")
     with pytest.raises(NonFiniteResult) as raised:
